@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the core structures: TAGE
- * prediction/update, BTB lookup, history push/snapshot, cache access,
- * FTQ operations, and end-to-end simulated instruction throughput.
+ * prediction/update, BTB lookup, history push/snapshot and rewind,
+ * cache access, FTQ operations, and end-to-end simulated instruction
+ * throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include "bpu/bpu.h"
 #include "cache/cache.h"
 #include "core/core.h"
+#include "core/core_config.h"
 #include "core/ftq.h"
 #include "prefetch/factory.h"
 #include "trace/suite.h"
@@ -61,10 +63,10 @@ BENCHMARK(BM_BtbLookup)->Arg(1024)->Arg(8192)->Arg(32768);
 void
 BM_HistoryPushSnapshot(benchmark::State &state)
 {
-    BranchHistory hist(HistoryPolicy::kTargetHistory);
-    // Register the fold population of TAGE + ITTAGE.
-    for (int i = 0; i < 54; ++i)
-        hist.registerFold(8 + i * 9, 10);
+    // The simulator's own fold population: TAGE-18KB + ITTAGE under THR
+    // (54 views over 33 shared folds).
+    Bpu bpu(paperBaselineConfig().bpu);
+    BranchHistory &hist = bpu.history();
     Rng rng(3);
     for (auto _ : state) {
         hist.pushBranch(rng.next(), rng.next(), true);
@@ -73,6 +75,28 @@ BM_HistoryPushSnapshot(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistoryPushSnapshot);
+
+void
+BM_HistoryRestore(benchmark::State &state)
+{
+    // One flush-style repair: push 10 THR events (20 bits, the mean
+    // rewind distance of fdp-server seed 1) past a snapshot, then
+    // rewind every fold back to it.
+    Bpu bpu(paperBaselineConfig().bpu);
+    BranchHistory &hist = bpu.history();
+    Rng rng(5);
+    for (int i = 0; i < 400; ++i)
+        hist.pushBranch(rng.next(), rng.next(), true); // Fill windows.
+    for (auto _ : state) {
+        const HistorySnapshot snap = hist.snapshot();
+        for (int i = 0; i < 10; ++i)
+            hist.pushBranch(rng.next(), rng.next(), true);
+        hist.restore(snap);
+        benchmark::DoNotOptimize(hist.folded(0));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistoryRestore);
 
 void
 BM_CacheAccess(benchmark::State &state)
@@ -94,12 +118,19 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_FtqPushPop(benchmark::State &state)
 {
+    // Entries carry the repair checkpoints Frontend::predictCycle takes.
+    Bpu bpu(paperBaselineConfig().bpu);
+    Rng rng(6);
+    for (int i = 0; i < 400; ++i)
+        bpu.history().pushBranch(rng.next(), rng.next(), true);
     Ftq ftq(24);
     std::uint64_t seq = 0;
     for (auto _ : state) {
         while (!ftq.full()) {
             FtqEntry e;
             e.seq = seq++;
+            e.histSnap = bpu.history().snapshot();
+            e.rasSnap = bpu.ras().snapshot();
             ftq.push(std::move(e));
         }
         while (!ftq.empty())

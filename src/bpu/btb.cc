@@ -16,6 +16,7 @@ Btb::Btb(const BtbConfig &cfg)
     numSets_ = cfg_.numEntries / cfg_.ways;
     if (!isPowerOf2(numSets_))
         fdip_fatal("BTB set count %u must be a power of two", numSets_);
+    setBits_ = floorLog2(numSets_);
     entries_.assign(cfg_.numEntries, Entry{});
 }
 
@@ -26,7 +27,7 @@ Btb::setOf(Addr pc) const
     // share a set; mix upper bits to spread large footprints.
     const std::uint64_t chunk = pc >> 4;
     return static_cast<std::uint32_t>(
-        (chunk ^ (chunk >> floorLog2(numSets_))) & (numSets_ - 1));
+        (chunk ^ (chunk >> setBits_)) & (numSets_ - 1));
 }
 
 FDIP_HOT_PATH Btb::Entry *

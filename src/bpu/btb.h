@@ -145,6 +145,7 @@ class Btb
 
     FDIP_STATE_MICRO BtbConfig cfg_;
     FDIP_STATE_MICRO unsigned numSets_;
+    FDIP_STATE_MICRO unsigned setBits_; ///< log2(numSets_), for setOf().
     FDIP_STATE_ARCH(valid, kind, lru, target, tag)
     std::vector<Entry> entries_; ///< sets x ways, row-major.
     FDIP_STATE_MICRO std::uint64_t lruClock_ = 0;

@@ -97,6 +97,9 @@ class Ittage
     /** Exact per-field storage declaration. */
     StorageSchema storageSchema() const;
 
+    /** History length (in events) of tagged table @p t. */
+    unsigned historyLength(unsigned t) const { return histLens_[t]; }
+
   private:
     struct Entry
     {

@@ -142,12 +142,15 @@ checkFtqIntegrity(const Ftq &ftq)
     FDIP_CHECK(ftq.size() <= ftq.capacity(),
                "FTQ occupancy %zu exceeds capacity %zu", ftq.size(),
                ftq.capacity());
+    [[maybe_unused]] std::uint64_t prev_seq = 0; // Read by FDIP_CHECK.
     for (std::size_t i = 0; i < ftq.size(); ++i) {
-        checkFtqEntry(ftq.at(i));
+        const FtqEntry &e = ftq.at(i);
+        checkFtqEntry(e);
         if (i > 0) {
-            FDIP_CHECK(ftq.at(i - 1).seq < ftq.at(i).seq,
+            FDIP_CHECK(prev_seq < e.seq,
                        "FTQ block sequence not monotone at position %zu", i);
         }
+        prev_seq = e.seq;
     }
 }
 

@@ -287,9 +287,6 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
             actual_next = d.info;
     }
 
-    // ---- RAS state before this instruction (for divergence repair).
-    const RasSnapshot pre_ras = bpu_.ras().snapshot();
-
     // ---- Direction hint (EV8-style: hints exist for every slot; we
     // only compute them for real conditional branches — hints of
     // non-branches are never consulted).
@@ -372,8 +369,7 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
             } else {
                 cause = kCauseTarget;
             }
-            recordDivergence(entry, offset, pc, si, detected, cause,
-                             pre_ras);
+            recordDivergence(entry, offset, pc, si, cause);
         } else {
             ++tracePos_;
         }
@@ -435,12 +431,8 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
 
 FDIP_HOT_PATH void
 Frontend::recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
-                           const StaticInst &si, bool detected,
-                           std::uint8_t cause,
-                           const RasSnapshot &pre_ras_snap)
+                           const StaticInst &si, std::uint8_t cause)
 {
-    (void)detected;
-    (void)pre_ras_snap;
     const DynInst &d = trace_.insts[tracePos_];
     const bool actual_taken = d.taken != 0;
 

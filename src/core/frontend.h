@@ -108,11 +108,10 @@ class Frontend
     /// @{ Prediction helpers.
     ScanResult scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now);
     /** Records a prediction-time divergence at trace position
-     *  tracePos_; computes the post-correction repair snapshots. */
+     *  tracePos_: the owning block's checkpoints, its event prefix and
+     *  the corrected event, replayed when the divergence resolves. */
     void recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
-                          const StaticInst &si, bool detected,
-                          std::uint8_t cause,
-                          const RasSnapshot &pre_ras_snap);
+                          const StaticInst &si, std::uint8_t cause);
     /// @}
 
     /// @{ Fetch helpers.
@@ -140,8 +139,9 @@ class Frontend
      * An execute-time divergence resolution record. Repair state is
      * rebuilt lazily at resolution: restore the owning block's
      * snapshots, replay the recorded event prefix, then apply the
-     * corrected event. (Eager snapshots would go stale: the wrong path
-     * overwrites ring bits behind them.)
+     * corrected event. (The corrected state cannot be checkpointed
+     * eagerly: its history bits never enter the ring, where the wrong
+     * path pushes its own.)
      */
     struct PendingDivergence
     {

@@ -27,16 +27,16 @@ class CircularQueue
 {
   public:
     explicit CircularQueue(std::size_t capacity)
-        : buf_(capacity), head_(0), size_(0)
+        : buf_(capacity), cap_(capacity), head_(0), size_(0)
     {
         FDIP_REQUIRE(capacity > 0,
                      "a zero-capacity queue models no hardware");
     }
 
-    [[nodiscard]] FDIP_HOT_PATH std::size_t capacity() const noexcept { return buf_.size(); }
+    [[nodiscard]] FDIP_HOT_PATH std::size_t capacity() const noexcept { return cap_; }
     [[nodiscard]] FDIP_HOT_PATH std::size_t size() const noexcept { return size_; }
     [[nodiscard]] FDIP_HOT_PATH bool empty() const noexcept { return size_ == 0; }
-    [[nodiscard]] FDIP_HOT_PATH bool full() const noexcept { return size_ == buf_.size(); }
+    [[nodiscard]] FDIP_HOT_PATH bool full() const noexcept { return size_ == cap_; }
 
     /** Appends an element at the tail. The queue must not be full. */
     FDIP_HOT_PATH void
@@ -63,7 +63,7 @@ class CircularQueue
     popFront() FDIP_HOT_NOEXCEPT
     {
         FDIP_CHECK(!empty(), "pop from an empty queue");
-        head_ = (head_ + 1) % buf_.size();
+        head_ = head_ + 1 == cap_ ? 0 : head_ + 1;
         --size_;
     }
 
@@ -120,13 +120,19 @@ class CircularQueue
     }
 
   private:
+    /** Slot of position @p logical. head_ and @p logical are both
+     *  below the capacity, so one conditional subtract wraps it: no
+     *  divide on the hot path. */
     [[nodiscard]] FDIP_HOT_PATH std::size_t
     physIndex(std::size_t logical) const noexcept
     {
-        return (head_ + logical) % buf_.size();
+        const std::size_t i = head_ + logical;
+        return i >= cap_ ? i - cap_ : i;
     }
 
     std::vector<T> buf_;
+    /** buf_.size(), kept so indexing never divides by sizeof(T). */
+    std::size_t cap_;
     std::size_t head_;
     std::size_t size_;
 };

@@ -4,6 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "bpu/bpu.h"
+#include "bpu/ittage.h"
+#include "bpu/tage.h"
+#include "core/core_config.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -158,19 +167,301 @@ TEST(History, OldEventsLeaveTheWindow)
 TEST(History, TooManyFoldsIsFatal)
 {
     BranchHistory h(HistoryPolicy::kTargetHistory);
-    for (std::size_t i = 0; i < HistorySnapshot::kMaxFolds; ++i)
+    for (std::size_t i = 0; i < BranchHistory::kMaxFolds; ++i)
         h.registerFold(16, 8);
     EXPECT_DEATH({ h.registerFold(16, 8); }, "folded history");
 }
 
 TEST(History, SnapshotIsCheap)
 {
-    // Snapshots must not allocate (fixed-size struct).
-    static_assert(sizeof(HistorySnapshot) <=
-                      32 + 4 * HistorySnapshot::kMaxFolds,
+    // Snapshots hold only the ring head and the recent-bit register;
+    // restore() rewinds the folds instead of copying them.
+    static_assert(sizeof(HistorySnapshot) <= 16,
                   "snapshot grew unexpectedly");
     SUCCEED();
 }
+
+/** The naive fold of the last @p len bits of @p bits to @p width: bit
+ *  of age a (0 = newest) XORed into bit (a mod width). */
+std::uint32_t
+naiveFold(const std::vector<std::uint8_t> &bits, unsigned len,
+          unsigned width)
+{
+    std::uint32_t v = 0;
+    const std::size_t n = bits.size();
+    for (std::size_t age = 0; age < len && age < n; ++age)
+        v ^= std::uint32_t{bits[n - 1 - age]} << (age % width);
+    return v;
+}
+
+TEST(History, SameGeometryViewsShareOneFold)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    const unsigned a = h.registerFold(40, 10);
+    const unsigned b = h.registerFold(40, 9);
+    const unsigned c = h.registerFold(12, 10);
+    const unsigned d = h.registerFold(40, 10);
+    EXPECT_EQ(h.numFolds(), 4u);
+    EXPECT_EQ(h.numDistinctFolds(), 3u);
+    // Every view is still charged.
+    EXPECT_EQ(h.storageBits(), 39u);
+    EXPECT_EQ(h.storageSchema().totalBits(), 39u);
+    Rng rng(41);
+    std::vector<std::uint8_t> bits;
+    for (int i = 0; i < 300; ++i) {
+        bits.push_back(rng.next() & 1);
+        h.pushBranch(0, 0, bits.back() != 0);
+    }
+    EXPECT_EQ(h.folded(a), naiveFold(bits, 40, 10));
+    EXPECT_EQ(h.folded(b), naiveFold(bits, 40, 9));
+    EXPECT_EQ(h.folded(c), naiveFold(bits, 12, 10));
+    EXPECT_EQ(h.folded(d), h.folded(a));
+}
+
+TEST(History, BaselineBpuSharesFolds)
+{
+    // TAGE-18KB's index and tag-A folds have the same geometry, as do
+    // ITTAGE's 9-bit index and tag-A folds, and TAGE and ITTAGE share
+    // three window lengths: 54 views need 33 folds.
+    const Bpu bpu(paperBaselineConfig().bpu);
+    EXPECT_EQ(bpu.history().numFolds(), 54u);
+    EXPECT_EQ(bpu.history().numDistinctFolds(), 33u);
+}
+
+TEST(History, RegisteringAfterPushIsFatal)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    h.registerFold(16, 8);
+    h.pushBranch(0x1000, 0x2000, true);
+    EXPECT_DEATH({ h.registerFold(16, 8); }, "before the first push");
+}
+
+TEST(History, WindowWithoutRewindRoomIsFatal)
+{
+    BranchHistory h(HistoryPolicy::kTargetHistory);
+    h.registerFold(BranchHistory::kRingBits -
+                       BranchHistory::kRewindSlackBits,
+                   10);
+    EXPECT_DEATH(
+        {
+            h.registerFold(BranchHistory::kRingBits -
+                               BranchHistory::kRewindSlackBits + 1,
+                           10);
+        },
+        "exceeds ring capacity");
+}
+
+/** Pushes @p n direction bits drawn from @p rng. */
+void
+pushRandomBits(BranchHistory &h, Rng &rng, unsigned n)
+{
+    for (unsigned i = 0; i < n; ++i)
+        h.pushBranch(0, 0, (rng.next() & 1) != 0);
+}
+
+TEST(History, RewindPastOverwrittenBitsPanics)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    h.registerFold(520, 10);
+    Rng rng(43);
+    pushRandomBits(h, rng, 600);
+    const HistorySnapshot snap = h.snapshot();
+    pushRandomBits(h, rng, BranchHistory::kRingBits - 520);
+    {
+        // Exactly at the limit: every bit the rewind reads survives.
+        BranchHistory copy = h;
+        copy.restore(snap);
+    }
+    pushRandomBits(h, rng, 1);
+    EXPECT_DEATH({ h.restore(snap); }, "overwritten ring bits");
+}
+
+TEST(History, RewindCountsTheFurthestHeadReached)
+{
+    // A later, shorter rewind does not make the older snapshot safe
+    // again: the ring slots written before it are still reused.
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    h.registerFold(520, 10);
+    Rng rng(47);
+    pushRandomBits(h, rng, 600);
+    const HistorySnapshot old_snap = h.snapshot();
+    pushRandomBits(h, rng, 1000);
+    const HistorySnapshot young_snap = h.snapshot();
+    pushRandomBits(h, rng, 2700);
+    h.restore(young_snap); // 2700 + 520 bits: fine.
+    EXPECT_DEATH({ h.restore(old_snap); }, "overwritten ring bits");
+}
+
+TEST(History, RestoringAFutureSnapshotPanics)
+{
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    h.registerFold(32, 8);
+    const HistorySnapshot start = h.snapshot();
+    h.pushBranch(0, 0, true);
+    const HistorySnapshot later = h.snapshot();
+    h.restore(start);
+    EXPECT_DEATH({ h.restore(later); }, "ahead of the head");
+}
+
+/**
+ * Reference model: every folded view equals a naive recomputation from
+ * the raw pushed-bit sequence, through random pushes mixed with the
+ * frontend's snapshot/restore pattern, across ring wrap-around.
+ */
+struct FoldPopulation
+{
+    HistoryPolicy policy;
+    unsigned tageKilobytes;
+};
+
+void
+PrintTo(const FoldPopulation &p, std::ostream *os)
+{
+    *os << historyPolicyName(p.policy) << "_tage" << p.tageKilobytes
+        << "kb";
+}
+
+class HistoryReferenceModel
+    : public ::testing::TestWithParam<FoldPopulation>
+{
+};
+
+std::uint64_t
+naiveRecent(const std::vector<std::uint8_t> &bits)
+{
+    std::uint64_t v = 0;
+    const std::size_t n = bits.size();
+    for (std::size_t age = 0; age < 64 && age < n; ++age)
+        v |= std::uint64_t{bits[n - 1 - age]} << age;
+    return v;
+}
+
+TEST_P(HistoryReferenceModel, FoldsMatchNaiveRecomputation)
+{
+    const FoldPopulation pop = GetParam();
+    BranchHistory h(pop.policy);
+    // The real predictors register the real population, duplicates
+    // included: per table an index fold, then tag folds of tagBits and
+    // tagBits - 1, over the table's history length.
+    const TageConfig tage_cfg = TageConfig::sized(pop.tageKilobytes);
+    const IttageConfig ittage_cfg;
+    const Tage tage(tage_cfg, h);
+    const Ittage ittage(ittage_cfg, h);
+    struct View
+    {
+        unsigned len;
+        unsigned width;
+    };
+    std::vector<View> views;
+    for (unsigned t = 0; t < tage_cfg.numTables; ++t) {
+        const unsigned len = tage.historyLength(t) * h.bitsPerEvent();
+        views.push_back({len, tage_cfg.logEntries});
+        views.push_back({len, tage_cfg.tagBits});
+        views.push_back({len, tage_cfg.tagBits - 1});
+    }
+    for (unsigned t = 0; t < ittage_cfg.numTables; ++t) {
+        const unsigned len = ittage.historyLength(t) * h.bitsPerEvent();
+        views.push_back({len, ittage_cfg.logEntries});
+        views.push_back({len, ittage_cfg.tagBits});
+        views.push_back({len, ittage_cfg.tagBits - 1});
+    }
+    ASSERT_EQ(h.numFolds(), views.size());
+    ASSERT_LT(h.numDistinctFolds(), h.numFolds());
+
+    // One checkpoint per predicted block, oldest first, as in the FTQ;
+    // `pending` is the diverging block's checkpoint, kept until it
+    // resolves even after its block leaves the queue.
+    struct Checkpoint
+    {
+        HistorySnapshot snap;
+        std::size_t len = 0; ///< Naive bit count at the snapshot.
+        std::uint64_t seq = 0;
+    };
+    constexpr std::size_t kFtqEntries = 24;
+    std::deque<Checkpoint> ftq;
+    std::optional<Checkpoint> pending;
+    std::uint64_t seq = 0;
+    std::vector<std::uint8_t> bits;
+    Rng rng(pop.tageKilobytes * 131 + static_cast<unsigned>(pop.policy));
+
+    const auto push_events = [&](unsigned n) {
+        for (unsigned e = 0; e < n; ++e) {
+            const bool taken = (rng.next() & 1) != 0;
+            h.pushBranch(rng.next(), rng.next(), taken);
+            if (!h.recordsEvent(taken))
+                continue;
+            const unsigned k = h.bitsPerEvent();
+            for (unsigned j = 0; j < k; ++j)
+                bits.push_back((h.recentBits() >> (k - 1 - j)) & 1);
+        }
+    };
+    const auto rewind_to = [&](const Checkpoint &cp) {
+        h.restore(cp.snap);
+        bits.resize(cp.len);
+    };
+
+    // Run until the ring has wrapped three times.
+    for (int step = 0; bits.size() < 3 * BranchHistory::kRingBits;
+         ++step) {
+        ASSERT_LT(step, 100000) << "the history stopped growing";
+        // Keep the pending divergence within the ring's rewind reach,
+        // as the ROB bounds it in the core.
+        const bool force_resolve =
+            pending && bits.size() - pending->len > 1024;
+        const unsigned op =
+            force_resolve ? 7 : static_cast<unsigned>(rng.below(12));
+        if (op <= 3 || op >= 8) {
+            // Predict a block: checkpoint, then its branch events.
+            if (ftq.size() == kFtqEntries)
+                ftq.pop_front();
+            ftq.push_back({h.snapshot(), bits.size(), seq++});
+            push_events(static_cast<unsigned>(rng.below(9)));
+        } else if (op == 4) {
+            if (!ftq.empty())
+                ftq.pop_front(); // The head block is delivered.
+        } else if (op == 5) {
+            if (!pending && !ftq.empty())
+                pending = ftq.back(); // The newest block diverged.
+        } else if (op == 6) {
+            // PFC / GHR fixup at the head: rewind to the head block,
+            // replay its prefix, drop everything younger. A pending
+            // divergence younger than the head is repaired with it.
+            if (ftq.empty())
+                continue;
+            const Checkpoint head = ftq.front();
+            rewind_to(head);
+            ftq.resize(1);
+            if (pending && pending->seq > head.seq)
+                pending.reset();
+            push_events(1 + static_cast<unsigned>(rng.below(4)));
+        } else if (pending) {
+            // The divergence resolves: flush, rewind, corrected path.
+            rewind_to(*pending);
+            pending.reset();
+            ftq.clear();
+            push_events(1 + static_cast<unsigned>(rng.below(4)));
+        }
+
+        ASSERT_EQ(h.snapshot().headPos, bits.size()) << "step " << step;
+        ASSERT_EQ(h.recentBits(), naiveRecent(bits)) << "step " << step;
+        for (unsigned id = 0; id < views.size(); ++id) {
+            ASSERT_EQ(h.folded(id),
+                      naiveFold(bits, views[id].len, views[id].width))
+                << "step " << step << " view " << id << " ("
+                << views[id].len << " bits -> " << views[id].width << ")";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Populations, HistoryReferenceModel,
+    ::testing::Values(
+        FoldPopulation{HistoryPolicy::kTargetHistory, 9},
+        FoldPopulation{HistoryPolicy::kTargetHistory, 18},
+        FoldPopulation{HistoryPolicy::kTargetHistory, 36},
+        FoldPopulation{HistoryPolicy::kDirectionHistory, 9},
+        FoldPopulation{HistoryPolicy::kDirectionHistory, 18},
+        FoldPopulation{HistoryPolicy::kDirectionHistory, 36}));
 
 } // namespace
 } // namespace fdip

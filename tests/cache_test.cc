@@ -2,6 +2,7 @@
 
 #include "cache/cache.h"
 
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -128,6 +129,9 @@ struct GeomParam
     unsigned sizeKb;
     unsigned ways;
     ReplacementPolicy repl;
+    /** Explicit, zeroed padding: gtest prints the raw bytes into the
+     *  test name, which implicit padding made vary between builds. */
+    std::uint8_t pad[3] = {};
 };
 
 class CacheGeometry : public ::testing::TestWithParam<GeomParam>

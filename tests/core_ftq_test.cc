@@ -74,6 +74,14 @@ TEST(Ftq, FifoAndTruncate)
     EXPECT_TRUE(ftq.empty());
 }
 
+TEST(FtqEntry, RepairCheckpointsStaySmall)
+{
+    // An entry carries a 16-byte history checkpoint (ring head + recent
+    // bits), not a copy of every fold; the FTQ is walked every tick.
+    static_assert(sizeof(FtqEntry) <= 320, "FTQ entry grew unexpectedly");
+    SUCCEED();
+}
+
 TEST(Ftq, StateEnumMatchesPaperEncoding)
 {
     // Paper Section IV-A: 0 invalid, 1 predicted, 2 filling, 3 ready.

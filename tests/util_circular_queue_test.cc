@@ -108,7 +108,7 @@ TEST_P(QueueModelCheck, MatchesDeque)
     int next = 0;
 
     for (int step = 0; step < 20000; ++step) {
-        const unsigned op = static_cast<unsigned>(rng.below(4));
+        const unsigned op = static_cast<unsigned>(rng.below(7));
         if (op == 0 && !q.full()) {
             q.pushBack(next);
             model.push_back(next);
@@ -124,6 +124,14 @@ TEST_P(QueueModelCheck, MatchesDeque)
         } else if (op == 3 && !q.empty()) {
             const std::size_t i = rng.below(q.size());
             EXPECT_EQ(q.at(i), model[i]);
+        } else if (op == 4 && !q.empty()) {
+            const std::size_t n = rng.below(q.size() + 1);
+            q.truncate(n);
+            model.resize(model.size() - n);
+        } else if (op == 5 && !q.empty()) {
+            EXPECT_EQ(q.front(), model.front());
+        } else if (op == 6 && !q.empty()) {
+            EXPECT_EQ(q.back(), model.back());
         }
         ASSERT_EQ(q.size(), model.size());
     }
