@@ -62,7 +62,7 @@ Ittage::tableTag(Addr pc, unsigned t) const
 FDIP_HOT_PATH Addr
 Ittage::predict(Addr pc, IttagePrediction &meta) const
 {
-    meta = IttagePrediction{};
+    meta.providerConfident = false;
     meta.baseIndex = static_cast<std::uint32_t>(
         ((pc >> 2) ^ (pc >> (2 + cfg_.logBaseEntries))) &
         mask(cfg_.logBaseEntries));

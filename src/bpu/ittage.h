@@ -61,7 +61,9 @@ ittageStorageBits(const IttageConfig &cfg)
            kIttageAllocRngBits;
 }
 
-/** Prediction metadata threaded to the update. */
+/** Prediction metadata threaded to the update. predict() writes the
+ *  index and tag of the configured tables only; the rest of the arrays
+ *  is never read, so it is left uninitialised. */
 struct IttagePrediction
 {
     static constexpr unsigned kMaxTables = 8;
@@ -70,8 +72,8 @@ struct IttagePrediction
     int provider = -1;         ///< -1 = base table.
     bool providerConfident = false;
     std::uint32_t baseIndex = 0;
-    std::array<std::uint32_t, kMaxTables> indices{};
-    std::array<std::uint32_t, kMaxTables> tags{};
+    std::array<std::uint32_t, kMaxTables> indices; ///< Per-table index.
+    std::array<std::uint32_t, kMaxTables> tags;    ///< Per-table tag.
 };
 
 /**

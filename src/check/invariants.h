@@ -142,16 +142,17 @@ checkFtqIntegrity(const Ftq &ftq)
     FDIP_CHECK(ftq.size() <= ftq.capacity(),
                "FTQ occupancy %zu exceeds capacity %zu", ftq.size(),
                ftq.capacity());
-    [[maybe_unused]] std::uint64_t prev_seq = 0; // Read by FDIP_CHECK.
-    for (std::size_t i = 0; i < ftq.size(); ++i) {
-        const FtqEntry &e = ftq.at(i);
+    std::size_t i = 0;
+    std::uint64_t prev_seq = 0;
+    ftq.forEach([&](const FtqEntry &e) {
         checkFtqEntry(e);
         if (i > 0) {
             FDIP_CHECK(prev_seq < e.seq,
                        "FTQ block sequence not monotone at position %zu", i);
         }
         prev_seq = e.seq;
-    }
+        ++i;
+    });
 }
 
 /** Tag-access conservation: every probe hits or misses, never both. */

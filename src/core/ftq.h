@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "bpu/history.h"
 #include "bpu/ras.h"
@@ -55,9 +56,10 @@ struct BlockEvent
 };
 
 /**
- * An FTQ entry: one 32B-aligned instruction block.
+ * The fields of an FtqEntry other than its event log: starting a new
+ * block in a reused queue slot resets exactly these.
  */
-struct FtqEntry
+struct FtqBlockFields
 {
     /// @{ Architectural fields (Table III; 65 bits total).
     Addr startAddr = kNoAddr;     ///< 48-bit instruction start address.
@@ -71,8 +73,7 @@ struct FtqEntry
     /// @{ Prediction-time context for repair (models checkpointing).
     HistorySnapshot histSnap;     ///< History before this block.
     RasSnapshot rasSnap;          ///< RAS recovery state before block.
-    std::array<BlockEvent, kInstsPerBlock> events{};
-    std::uint8_t numEvents = 0;
+    std::uint8_t numEvents = 0;   ///< Recorded events (FtqEntry::events).
     std::uint8_t detectedMask = 0; ///< BTB-hit bitmap (for GHR fixup).
     /// @}
 
@@ -89,6 +90,29 @@ struct FtqEntry
      *  from the trace (255 = none); later offsets are wrong-path. */
     std::uint8_t divergeOffset = 255;
     /// @}
+};
+
+/**
+ * An FTQ entry: one 32B-aligned instruction block.
+ */
+struct FtqEntry : FtqBlockFields
+{
+    /** Branch events recorded while predicting the block, for repair
+     *  replay. Only the first numEvents are meaningful. */
+    std::array<BlockEvent, kInstsPerBlock> events{};
+
+    /**
+     * Starts a new block at @p start in this (possibly reused) entry:
+     * every field but the event log returns to its default, and the
+     * log's stale events lie beyond numEvents = 0, where nothing reads.
+     */
+    FDIP_HOT_PATH void
+    startBlock(Addr start)
+    {
+        static_cast<FtqBlockFields &>(*this) = FtqBlockFields{};
+        startAddr = start;
+        nextDeliverOffset = startOffset();
+    }
 
     /** Offset of @p pc within this 32B block. */
     FDIP_HOT_PATH static std::uint8_t
@@ -147,13 +171,24 @@ class Ftq
     FDIP_HOT_PATH std::size_t size() const { return q_.size(); }
     FDIP_HOT_PATH std::size_t capacity() const { return q_.capacity(); }
 
-    FDIP_HOT_PATH void
-    push(FtqEntry &&e) FDIP_HOT_NOEXCEPT
+    /**
+     * Appends the tail slot as it stands and returns it, for the caller
+     * to build the new entry in place (FtqEntry::startBlock). The FTQ
+     * must not be full.
+     */
+    FDIP_HOT_PATH FtqEntry &
+    pushSlot() FDIP_HOT_NOEXCEPT
     {
         FDIP_CHECK(!q_.full(),
                    "FTQ overflow: occupancy %zu at capacity %zu", q_.size(),
                    q_.capacity());
-        q_.pushBack(std::move(e));
+        return q_.pushSlot();
+    }
+    /** Appends @p e. The FTQ must not be full. */
+    FDIP_HOT_PATH void
+    push(FtqEntry &&e) FDIP_HOT_NOEXCEPT
+    {
+        pushSlot() = std::move(e);
     }
     FDIP_HOT_PATH void popHead() FDIP_HOT_NOEXCEPT { q_.popFront(); }
     FDIP_HOT_PATH FtqEntry &at(std::size_t i) FDIP_HOT_NOEXCEPT
@@ -178,6 +213,14 @@ class Ftq
     }
 
     FDIP_HOT_PATH void clear() { q_.clear(); }
+
+    /** Calls @p f on every entry, head first (CircularQueue::forEach). */
+    template <typename F>
+    FDIP_HOT_PATH void
+    forEach(F &&f) const FDIP_HOT_NOEXCEPT
+    {
+        q_.forEach(std::forward<F>(f));
+    }
 
     /** Total architectural storage in bytes (Table III: 195B for 24). */
     std::uint64_t

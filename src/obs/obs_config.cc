@@ -71,11 +71,15 @@ tracePathForRun(const ObsConfig &obs, const std::string &workload)
     if (obs.tracePath.empty() || obs.traceExactPath)
         return obs.tracePath;
 
+    // Appended piece by piece: GCC 12's -Wrestrict misfires at -O3 on
+    // the `"." + string` and `substr + infix + substr` temporaries.
     std::string infix;
-    if (!obs.traceLabel.empty())
-        infix += "." + sanitizePathPart(obs.traceLabel);
-    if (!workload.empty())
-        infix += "." + sanitizePathPart(workload);
+    for (const std::string *part : {&obs.traceLabel, &workload}) {
+        if (!part->empty()) {
+            infix += '.';
+            infix += sanitizePathPart(*part);
+        }
+    }
     if (infix.empty())
         return obs.tracePath;
 
@@ -85,8 +89,10 @@ tracePathForRun(const ObsConfig &obs, const std::string &workload)
         (slash != std::string::npos && dot < slash)) {
         return obs.tracePath + infix;
     }
-    return obs.tracePath.substr(0, dot) + infix +
-           obs.tracePath.substr(dot);
+    std::string path = obs.tracePath.substr(0, dot);
+    path += infix;
+    path.append(obs.tracePath, dot);
+    return path;
 }
 
 } // namespace fdip

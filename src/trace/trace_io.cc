@@ -53,6 +53,21 @@ readTraceFile(const std::string &path, std::vector<DynInst> &insts)
     FileHeader h{};
     if (std::fread(&h, sizeof(h), 1, f.get()) != 1 || h.magic != kMagic)
         return false;
+    // The count in the header is untrusted: it must describe exactly
+    // the bytes that follow before anything is allocated for it.
+    // Dividing the body size, not multiplying the count, cannot
+    // overflow.
+    const long header_end = std::ftell(f.get());
+    if (header_end < 0 || std::fseek(f.get(), 0, SEEK_END) != 0)
+        return false;
+    const long file_end = std::ftell(f.get());
+    if (file_end < header_end ||
+        std::fseek(f.get(), header_end, SEEK_SET) != 0) {
+        return false;
+    }
+    const auto body = static_cast<std::uint64_t>(file_end - header_end);
+    if (body % sizeof(DynInst) != 0 || body / sizeof(DynInst) != h.count)
+        return false;
     insts.resize(h.count);
     if (h.count != 0 &&
         std::fread(insts.data(), sizeof(DynInst), h.count, f.get()) !=

@@ -6,6 +6,7 @@
 #ifndef FDIP_UTIL_CIRCULAR_QUEUE_H_
 #define FDIP_UTIL_CIRCULAR_QUEUE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -38,24 +39,33 @@ class CircularQueue
     [[nodiscard]] FDIP_HOT_PATH bool empty() const noexcept { return size_ == 0; }
     [[nodiscard]] FDIP_HOT_PATH bool full() const noexcept { return size_ == cap_; }
 
+    /**
+     * Appends the tail slot as it stands, still holding whatever was
+     * last stored there, and returns it for the caller to overwrite in
+     * place. The queue must not be full.
+     */
+    [[nodiscard]] FDIP_HOT_PATH T &
+    pushSlot() FDIP_HOT_NOEXCEPT
+    {
+        FDIP_CHECK(!full(), "push onto a full queue (capacity %zu)",
+                   capacity());
+        T &slot = buf_[physIndex(size_)];
+        ++size_;
+        return slot;
+    }
+
     /** Appends an element at the tail. The queue must not be full. */
     FDIP_HOT_PATH void
     pushBack(const T &v) FDIP_HOT_NOEXCEPT
     {
-        FDIP_CHECK(!full(), "push onto a full queue (capacity %zu)",
-                   capacity());
-        buf_[physIndex(size_)] = v;
-        ++size_;
+        pushSlot() = v;
     }
 
     /** Appends an element at the tail (move). The queue must not be full. */
     FDIP_HOT_PATH void
     pushBack(T &&v) FDIP_HOT_NOEXCEPT
     {
-        FDIP_CHECK(!full(), "push onto a full queue (capacity %zu)",
-                   capacity());
-        buf_[physIndex(size_)] = std::move(v);
-        ++size_;
+        pushSlot() = std::move(v);
     }
 
     /** Removes the head element. The queue must not be empty. */
@@ -117,6 +127,24 @@ class CircularQueue
     [[nodiscard]] FDIP_HOT_PATH const T &back() const FDIP_HOT_NOEXCEPT
     {
         return at(size_ - 1);
+    }
+
+    /**
+     * Calls @p f on every element, oldest first. It walks the buffer's
+     * (at most two) contiguous spans: no per-element wrap or bounds
+     * check.
+     */
+    template <typename F>
+    FDIP_HOT_PATH void
+    forEach(F &&f) const
+    {
+        const std::size_t first = std::min(size_, cap_ - head_);
+        const T *span = buf_.data() + head_;
+        for (std::size_t i = 0; i < first; ++i)
+            f(span[i]);
+        span = buf_.data();
+        for (std::size_t i = 0; i < size_ - first; ++i)
+            f(span[i]);
     }
 
   private:

@@ -25,9 +25,10 @@
 #ifndef FDIP_UTIL_INVARIANT_H_
 #define FDIP_UTIL_INVARIANT_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "util/log.h"
 
@@ -67,11 +68,22 @@ class InvariantViolation : public std::logic_error
 namespace check_detail
 {
 
-/** Thread-local stack of active InvariantScope names. */
-inline std::vector<const char *> &
-scopeStack()
+/** Scopes named in a violation message; deeper ones are counted. */
+inline constexpr std::size_t kMaxScopeDepth = 16;
+
+/** The active InvariantScope names, outermost first. */
+struct ScopeStack
 {
-    thread_local std::vector<const char *> stack;
+    const char *names[kMaxScopeDepth];
+    std::size_t depth; ///< Active scopes, named or not.
+};
+
+/** This thread's scope stack. Constant-initialised and trivially
+ *  destructible: entering a scope takes no TLS init guard and no heap. */
+inline ScopeStack &
+scopeStack() noexcept
+{
+    thread_local constinit ScopeStack stack{};
     return stack;
 }
 
@@ -79,15 +91,18 @@ scopeStack()
 inline std::string
 scopePath()
 {
-    const auto &stack = scopeStack();
-    if (stack.empty())
+    const ScopeStack &stack = scopeStack();
+    if (stack.depth == 0)
         return "(global)";
     std::string path;
-    for (const char *name : stack) {
+    const std::size_t named = std::min(stack.depth, kMaxScopeDepth);
+    for (std::size_t i = 0; i < named; ++i) {
         if (!path.empty())
             path += '/';
-        path += name;
+        path += stack.names[i];
     }
+    if (stack.depth > named)
+        path += log_detail::format("/...(%zu more)", stack.depth - named);
     return path;
 }
 
@@ -111,11 +126,14 @@ class InvariantScope
 {
   public:
 #if FDIP_ENABLE_CHECKS
-    explicit InvariantScope(const char *name)
+    explicit InvariantScope(const char *name) noexcept
     {
-        check_detail::scopeStack().push_back(name);
+        check_detail::ScopeStack &stack = check_detail::scopeStack();
+        if (stack.depth < check_detail::kMaxScopeDepth)
+            stack.names[stack.depth] = name;
+        ++stack.depth;
     }
-    ~InvariantScope() { check_detail::scopeStack().pop_back(); }
+    ~InvariantScope() { --check_detail::scopeStack().depth; }
 #else
     explicit InvariantScope(const char *) {}
 #endif
@@ -143,7 +161,9 @@ class InvariantScope
         }                                                                     \
     } while (0)
 #else
-#define FDIP_CHECK(cond, ...) ((void)0)
+/* The condition stays an unevaluated operand, so the variables it
+ * names still count as used. */
+#define FDIP_CHECK(cond, ...) ((void)sizeof(!(cond)))
 #endif
 
 /**

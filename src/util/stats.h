@@ -1,127 +1,17 @@
 /**
  * @file
- * Lightweight statistics collection: named counters, histograms, and
- * aggregate math (geometric / arithmetic means) used by the experiment
- * harness.
+ * Aggregate math (geometric / arithmetic means) used by the experiment
+ * harness. Simulator counters and histograms live in
+ * obs/stat_registry.h.
  */
 
 #ifndef FDIP_UTIL_STATS_H_
 #define FDIP_UTIL_STATS_H_
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace fdip
 {
-
-/**
- * A scalar event counter.
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void inc(std::uint64_t n = 1) { value_ += n; }
-    void set(std::uint64_t v) { value_ = v; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/**
- * A fixed-bucket histogram over unsigned samples.
- */
-class Histogram
-{
-  public:
-    /** @param num_buckets number of buckets; samples >= num_buckets-1
-     *                     land in the last (overflow) bucket. */
-    explicit Histogram(std::size_t num_buckets = 16)
-        : buckets_(num_buckets, 0)
-    {
-    }
-
-    void
-    sample(std::uint64_t v, std::uint64_t count = 1)
-    {
-        const std::size_t idx =
-            v < buckets_.size() ? static_cast<std::size_t>(v)
-                                : buckets_.size() - 1;
-        buckets_[idx] += count;
-        total_ += count;
-        sum_ += v * count;
-    }
-
-    std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t totalSamples() const { return total_; }
-
-    /** Arithmetic mean of all samples (0 when empty). */
-    double
-    mean() const
-    {
-        return total_ == 0 ? 0.0
-                           : static_cast<double>(sum_) /
-                                 static_cast<double>(total_);
-    }
-
-    void
-    reset()
-    {
-        for (auto &b : buckets_)
-            b = 0;
-        total_ = 0;
-        sum_ = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-    std::uint64_t sum_ = 0;
-};
-
-/**
- * A registry of named counters, so modules can export statistics without
- * hard-coding a schema. Lookup creates counters on demand. For the
- * simulator-wide hierarchical registry (getter-backed counters, derived
- * formulas, histograms) see obs/stat_registry.h; this class remains for
- * lightweight ad-hoc counting in tools and tests.
- */
-class CounterRegistry
-{
-  public:
-    /** Returns (creating if needed) the counter with the given name. */
-    Counter &counter(const std::string &name) { return counters_[name]; }
-
-    /** Read-only view of everything recorded so far. */
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-
-    /** Value of a named counter, 0 if never touched. */
-    std::uint64_t
-    value(const std::string &name) const
-    {
-        const auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second.value();
-    }
-
-    void
-    reset()
-    {
-        for (auto &kv : counters_)
-            kv.second.reset();
-    }
-
-  private:
-    std::map<std::string, Counter> counters_;
-};
 
 /** Geometric mean of strictly positive values. Returns 0 on empty input. */
 double geometricMean(const std::vector<double> &values);

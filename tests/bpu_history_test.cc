@@ -13,6 +13,7 @@
 #include "bpu/ittage.h"
 #include "bpu/tage.h"
 #include "core/core_config.h"
+#include "history_reference.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -20,6 +21,10 @@ namespace fdip
 {
 namespace
 {
+
+using test::appendEventBits;
+using test::naiveFold;
+using test::naiveRecent;
 
 TEST(History, PolicyNames)
 {
@@ -181,19 +186,6 @@ TEST(History, SnapshotIsCheap)
     SUCCEED();
 }
 
-/** The naive fold of the last @p len bits of @p bits to @p width: bit
- *  of age a (0 = newest) XORed into bit (a mod width). */
-std::uint32_t
-naiveFold(const std::vector<std::uint8_t> &bits, unsigned len,
-          unsigned width)
-{
-    std::uint32_t v = 0;
-    const std::size_t n = bits.size();
-    for (std::size_t age = 0; age < len && age < n; ++age)
-        v ^= std::uint32_t{bits[n - 1 - age]} << (age % width);
-    return v;
-}
-
 TEST(History, SameGeometryViewsShareOneFold)
 {
     BranchHistory h(HistoryPolicy::kDirectionHistory);
@@ -249,6 +241,36 @@ TEST(History, WindowWithoutRewindRoomIsFatal)
                            10);
         },
         "exceeds ring capacity");
+}
+
+TEST(History, RewindsFoldsNarrowerThanTheChunk)
+{
+    // A rewind undoes min(8, narrowest width) bits per fold step: with
+    // folds of width 1 to 9, every rewind distance still lands exactly.
+    BranchHistory h(HistoryPolicy::kDirectionHistory);
+    std::vector<unsigned> widths;
+    for (unsigned w = 1; w <= 9; ++w) {
+        h.registerFold(5 * w + 3, w);
+        widths.push_back(w);
+    }
+    Rng rng(53);
+    std::vector<std::uint8_t> bits;
+    for (unsigned step = 0; step < 300; ++step) {
+        const HistorySnapshot snap = h.snapshot();
+        const std::size_t len = bits.size();
+        for (unsigned e = 0; e <= step % 21; ++e)
+            h.pushBranch(0, 0, (rng.next() & 1) != 0);
+        h.restore(snap);
+        const bool taken = (rng.next() & 1) != 0;
+        h.pushBranch(0, 0, taken);
+        bits.resize(len);
+        bits.push_back(taken ? 1 : 0);
+        for (unsigned id = 0; id < widths.size(); ++id) {
+            ASSERT_EQ(h.folded(id),
+                      naiveFold(bits, 5 * widths[id] + 3, widths[id]))
+                << "step " << step << " width " << widths[id];
+        }
+    }
 }
 
 /** Pushes @p n direction bits drawn from @p rng. */
@@ -326,46 +348,80 @@ class HistoryReferenceModel
 {
 };
 
-std::uint64_t
-naiveRecent(const std::vector<std::uint8_t> &bits)
+/**
+ * The real predictors' fold population over one history, duplicates
+ * included: per table an index fold, then tag folds of tagBits and
+ * tagBits - 1, over the table's history length. The test owns each
+ * view's expected (length, width).
+ */
+struct RegisteredViews
 {
-    std::uint64_t v = 0;
-    const std::size_t n = bits.size();
-    for (std::size_t age = 0; age < 64 && age < n; ++age)
-        v |= std::uint64_t{bits[n - 1 - age]} << age;
-    return v;
-}
-
-TEST_P(HistoryReferenceModel, FoldsMatchNaiveRecomputation)
-{
-    const FoldPopulation pop = GetParam();
-    BranchHistory h(pop.policy);
-    // The real predictors register the real population, duplicates
-    // included: per table an index fold, then tag folds of tagBits and
-    // tagBits - 1, over the table's history length.
-    const TageConfig tage_cfg = TageConfig::sized(pop.tageKilobytes);
-    const IttageConfig ittage_cfg;
-    const Tage tage(tage_cfg, h);
-    const Ittage ittage(ittage_cfg, h);
     struct View
     {
         unsigned len;
         unsigned width;
     };
+
+    explicit RegisteredViews(const FoldPopulation &pop)
+        : hist(pop.policy),
+          tageCfg(TageConfig::sized(pop.tageKilobytes)),
+          tage(tageCfg, hist),
+          ittage(ittageCfg, hist)
+    {
+        for (unsigned t = 0; t < tageCfg.numTables; ++t) {
+            const unsigned len = tage.historyLength(t) * hist.bitsPerEvent();
+            views.push_back({len, tageCfg.logEntries});
+            views.push_back({len, tageCfg.tagBits});
+            views.push_back({len, tageCfg.tagBits - 1});
+        }
+        for (unsigned t = 0; t < ittageCfg.numTables; ++t) {
+            const unsigned len =
+                ittage.historyLength(t) * hist.bitsPerEvent();
+            views.push_back({len, ittageCfg.logEntries});
+            views.push_back({len, ittageCfg.tagBits});
+            views.push_back({len, ittageCfg.tagBits - 1});
+        }
+    }
+
+    /** Every view and the recent bits match a naive recomputation from
+     *  @p bits, the raw sequence pushed so far. */
+    ::testing::AssertionResult
+    matches(const std::vector<std::uint8_t> &bits) const
+    {
+        if (hist.snapshot().headPos != bits.size()) {
+            return ::testing::AssertionFailure()
+                   << "head " << hist.snapshot().headPos << " vs "
+                   << bits.size() << " bits";
+        }
+        if (hist.recentBits() != naiveRecent(bits))
+            return ::testing::AssertionFailure() << "recent bits differ";
+        for (unsigned id = 0; id < views.size(); ++id) {
+            const std::uint32_t want =
+                naiveFold(bits, views[id].len, views[id].width);
+            if (hist.folded(id) != want) {
+                return ::testing::AssertionFailure()
+                       << "view " << id << " (" << views[id].len
+                       << " bits -> " << views[id].width << "): "
+                       << hist.folded(id) << " vs " << want;
+            }
+        }
+        return ::testing::AssertionSuccess();
+    }
+
+    BranchHistory hist;
+    const TageConfig tageCfg;
+    const IttageConfig ittageCfg;
+    const Tage tage;
+    const Ittage ittage;
     std::vector<View> views;
-    for (unsigned t = 0; t < tage_cfg.numTables; ++t) {
-        const unsigned len = tage.historyLength(t) * h.bitsPerEvent();
-        views.push_back({len, tage_cfg.logEntries});
-        views.push_back({len, tage_cfg.tagBits});
-        views.push_back({len, tage_cfg.tagBits - 1});
-    }
-    for (unsigned t = 0; t < ittage_cfg.numTables; ++t) {
-        const unsigned len = ittage.historyLength(t) * h.bitsPerEvent();
-        views.push_back({len, ittage_cfg.logEntries});
-        views.push_back({len, ittage_cfg.tagBits});
-        views.push_back({len, ittage_cfg.tagBits - 1});
-    }
-    ASSERT_EQ(h.numFolds(), views.size());
+};
+
+TEST_P(HistoryReferenceModel, FoldsMatchNaiveRecomputation)
+{
+    const FoldPopulation pop = GetParam();
+    RegisteredViews r(pop);
+    BranchHistory &h = r.hist;
+    ASSERT_EQ(h.numFolds(), r.views.size());
     ASSERT_LT(h.numDistinctFolds(), h.numFolds());
 
     // One checkpoint per predicted block, oldest first, as in the FTQ;
@@ -388,11 +444,8 @@ TEST_P(HistoryReferenceModel, FoldsMatchNaiveRecomputation)
         for (unsigned e = 0; e < n; ++e) {
             const bool taken = (rng.next() & 1) != 0;
             h.pushBranch(rng.next(), rng.next(), taken);
-            if (!h.recordsEvent(taken))
-                continue;
-            const unsigned k = h.bitsPerEvent();
-            for (unsigned j = 0; j < k; ++j)
-                bits.push_back((h.recentBits() >> (k - 1 - j)) & 1);
+            if (h.recordsEvent(taken))
+                appendEventBits(bits, h.recentBits(), h.bitsPerEvent());
         }
     };
     const auto rewind_to = [&](const Checkpoint &cp) {
@@ -442,14 +495,40 @@ TEST_P(HistoryReferenceModel, FoldsMatchNaiveRecomputation)
             push_events(1 + static_cast<unsigned>(rng.below(4)));
         }
 
-        ASSERT_EQ(h.snapshot().headPos, bits.size()) << "step " << step;
-        ASSERT_EQ(h.recentBits(), naiveRecent(bits)) << "step " << step;
-        for (unsigned id = 0; id < views.size(); ++id) {
-            ASSERT_EQ(h.folded(id),
-                      naiveFold(bits, views[id].len, views[id].width))
-                << "step " << step << " view " << id << " ("
-                << views[id].len << " bits -> " << views[id].width << ")";
-        }
+        ASSERT_TRUE(r.matches(bits)) << "step " << step;
+    }
+}
+
+TEST_P(HistoryReferenceModel, EveryRewindOfAWalkAcrossTheRingEnd)
+{
+    // Walk the head one event at a time from the first push to past
+    // the ring's end; at every step push 1-19 events past a snapshot
+    // and rewind to it. The rewinds cover every length modulo the
+    // 8-bit undo chunk, rewinds to within 8 bits of the start of
+    // history (their 8-byte reads start before position 0), and, for
+    // the head and then for every window's out-bits, 8-byte reads that
+    // straddle the end of the ring.
+    const FoldPopulation pop = GetParam();
+    RegisteredViews r(pop);
+    BranchHistory &h = r.hist;
+    std::vector<std::uint8_t> bits;
+    Rng rng(pop.tageKilobytes * 7 + static_cast<unsigned>(pop.policy));
+    // Taken only, so every event pushes under either policy.
+    const auto push_event = [&] {
+        h.pushBranch(rng.next(), rng.next(), true);
+        appendEventBits(bits, h.recentBits(), h.bitsPerEvent());
+    };
+
+    for (unsigned step = 0; bits.size() < BranchHistory::kRingBits + 64;
+         ++step) {
+        const HistorySnapshot snap = h.snapshot();
+        const std::size_t len = bits.size();
+        for (unsigned e = 0; e <= step % 19; ++e)
+            push_event();
+        h.restore(snap);
+        bits.resize(len);
+        ASSERT_TRUE(r.matches(bits)) << "step " << step;
+        push_event();
     }
 }
 

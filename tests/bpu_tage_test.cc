@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "bpu/ittage.h"
+#include "history_reference.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace fdip
@@ -176,6 +182,97 @@ TEST(Tage, DistinctBranchesDoNotDestructivelyAlias)
     }
     EXPECT_LT(wrong, 60);
 }
+
+/**
+ * Reference model: every table's index and tag recomputed from the raw
+ * pushed-bit sequence (a naive XOR fold of the table's window plus the
+ * pc terms), compared with TagePrediction through random pushes,
+ * snapshots and restores. The real ITTAGE registers its folds on the
+ * same history, as in the BPU.
+ */
+class TageReferenceModel
+    : public ::testing::TestWithParam<std::tuple<HistoryPolicy, unsigned>>
+{
+};
+
+TEST_P(TageReferenceModel, IndicesAndTagsMatchNaiveHashes)
+{
+    const auto [policy, kilobytes] = GetParam();
+    BranchHistory hist(policy);
+    Tage tage(TageConfig::sized(kilobytes), hist);
+    const Ittage ittage(IttageConfig{}, hist);
+    const TageConfig &cfg = tage.config();
+    const unsigned k = hist.bitsPerEvent();
+
+    std::vector<std::uint8_t> bits;
+    struct Checkpoint
+    {
+        HistorySnapshot snap;
+        std::size_t len;
+    };
+    std::vector<Checkpoint> checkpoints; // Oldest first.
+    Rng rng(kilobytes * 17 + static_cast<unsigned>(policy));
+
+    for (int step = 0; step < 4000; ++step) {
+        const Addr pc = 0x400000 + rng.below(1 << 16) * 4;
+        TagePrediction meta;
+        tage.predict(pc, meta);
+        ASSERT_EQ(meta.baseIndex,
+                  ((pc >> 2) ^ (pc >> (2 + cfg.logBaseEntries))) &
+                      mask(cfg.logBaseEntries));
+        for (unsigned t = 0; t < cfg.numTables; ++t) {
+            const unsigned len = tage.historyLength(t) * k;
+            const std::uint64_t index =
+                ((pc >> 2) ^ (pc >> (2 + cfg.logEntries)) ^
+                 test::naiveFold(bits, len, cfg.logEntries) ^
+                 (std::uint64_t{t} << 3)) &
+                mask(cfg.logEntries);
+            const std::uint64_t tag =
+                ((pc >> 2) ^ test::naiveFold(bits, len, cfg.tagBits) ^
+                 (std::uint64_t{test::naiveFold(bits, len,
+                                                cfg.tagBits - 1)}
+                  << 1)) &
+                mask(cfg.tagBits);
+            ASSERT_EQ(meta.indices[t], index)
+                << "step " << step << " table " << t;
+            ASSERT_EQ(meta.tags[t], tag)
+                << "step " << step << " table " << t;
+        }
+        tage.update(pc, (rng.next() & 3) != 0, meta);
+
+        // Drop checkpoints the ring can no longer rewind to.
+        while (!checkpoints.empty() &&
+               bits.size() - checkpoints.front().len > 2048) {
+            checkpoints.erase(checkpoints.begin());
+        }
+        const unsigned op = static_cast<unsigned>(rng.below(10));
+        if (op < 6) {
+            const bool taken = (rng.next() & 1) != 0;
+            hist.pushBranch(pc, rng.next(), taken);
+            if (hist.recordsEvent(taken))
+                test::appendEventBits(bits, hist.recentBits(), k);
+        } else if (op < 8) {
+            checkpoints.push_back({hist.snapshot(), bits.size()});
+        } else if (!checkpoints.empty()) {
+            // Rewind to any live checkpoint; younger ones die with the
+            // bits they covered.
+            const std::size_t i = rng.below(checkpoints.size());
+            hist.restore(checkpoints[i].snap);
+            bits.resize(checkpoints[i].len);
+            checkpoints.resize(i + 1);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndSizes, TageReferenceModel,
+    ::testing::Combine(::testing::Values(HistoryPolicy::kTargetHistory,
+                                         HistoryPolicy::kDirectionHistory),
+                       ::testing::Values(9u, 18u, 36u)),
+    [](const auto &info) {
+        return std::string(historyPolicyName(std::get<0>(info.param))) +
+               "_tage" + std::to_string(std::get<1>(info.param)) + "kb";
+    });
 
 } // namespace
 } // namespace fdip

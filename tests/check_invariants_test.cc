@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <string>
+
 #include "core/core.h"
 #include "micro_program.h"
 #include "prefetch/prefetcher.h"
@@ -83,6 +87,34 @@ TEST(Invariant, ScopeStackUnwindsAfterThrow)
         InvariantScope scope("doomed");
         FDIP_CHECK(false, "boom");
     } catch (const InvariantViolation &) {
+    }
+    EXPECT_EQ(InvariantScope::path(), "(global)");
+}
+
+TEST(Invariant, ScopesNestPastTheDepthLimit)
+{
+    // The stack names kMaxScopeDepth scopes and counts the rest, so a
+    // violation that deep still reports where it was, and every scope
+    // still unwinds.
+    REQUIRE_CHECKS_ENABLED();
+    constexpr std::size_t kDepth = check_detail::kMaxScopeDepth + 3;
+    std::string expected = "s";
+    for (std::size_t i = 1; i < check_detail::kMaxScopeDepth; ++i)
+        expected += "/s";
+    expected += "/...(3 more)";
+    {
+        std::array<std::optional<InvariantScope>, kDepth> scopes;
+        for (auto &scope : scopes)
+            scope.emplace("s");
+        EXPECT_EQ(InvariantScope::path(), expected);
+        try {
+            FDIP_CHECK(false, "deep");
+            FAIL() << "FDIP_CHECK(false) did not throw";
+        } catch (const InvariantViolation &e) {
+            EXPECT_NE(std::string(e.what()).find(expected),
+                      std::string::npos)
+                << e.what();
+        }
     }
     EXPECT_EQ(InvariantScope::path(), "(global)");
 }

@@ -10,11 +10,11 @@
  *
  *  Method: tests/hotpath_alloc_interposer.h replaces the global
  *  operator new/delete with counting versions. A first throwaway run
- *  warms every process-lifetime lazy structure (the InvariantScope
- *  thread_local stack, libstdc++/gtest internals); each measured run
- *  then constructs its Core (construction may allocate freely),
- *  snapshots the counter, runs to completion, and asserts the counter
- *  did not move.
+ *  warms every process-lifetime lazy structure (libstdc++/gtest
+ *  internals; the InvariantScope stack is a fixed-size array and needs
+ *  no warming); each measured run then constructs its Core
+ *  (construction may allocate freely), snapshots the counter, runs to
+ *  completion, and asserts the counter did not move.
  */
 
 #include "hotpath_alloc_interposer.h"

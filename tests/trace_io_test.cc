@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -82,6 +83,28 @@ TEST(TraceIo, RejectsTruncatedBody)
     ASSERT_EQ(truncate(path.c_str(), 16 + 50 * sizeof(DynInst)), 0);
     std::vector<DynInst> out;
     EXPECT_FALSE(readTraceFile(path, out));
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsOversizedCount)
+{
+    // A header claiming more instructions than the file holds is
+    // refused before anything is allocated for them: 2^44 would throw
+    // std::bad_alloc, and a count near 2^28 would zero-fill 4 GiB.
+    const std::string path = tempPath("oversized.fdiptrace");
+    std::vector<DynInst> in(3);
+    ASSERT_TRUE(writeTraceFile(path, in));
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 44, std::uint64_t{1} << 28, std::uint64_t{4},
+          ~std::uint64_t{0}, std::uint64_t{2}}) {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0); // The count field.
+        ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+        std::fclose(f);
+        std::vector<DynInst> out;
+        EXPECT_FALSE(readTraceFile(path, out)) << "count " << count;
+    }
     std::remove(path.c_str());
 }
 

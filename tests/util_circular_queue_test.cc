@@ -2,7 +2,9 @@
 
 #include "util/circular_queue.h"
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,7 +112,11 @@ TEST_P(QueueModelCheck, MatchesDeque)
     for (int step = 0; step < 20000; ++step) {
         const unsigned op = static_cast<unsigned>(rng.below(7));
         if (op == 0 && !q.full()) {
-            q.pushBack(next);
+            // Alternate the two ways to append.
+            if (next % 2 == 0)
+                q.pushBack(next);
+            else
+                q.pushSlot() = next;
             model.push_back(next);
             ++next;
         } else if (op == 1 && !q.empty()) {
@@ -134,6 +140,11 @@ TEST_P(QueueModelCheck, MatchesDeque)
             EXPECT_EQ(q.back(), model.back());
         }
         ASSERT_EQ(q.size(), model.size());
+        std::vector<int> walked;
+        q.forEach([&](int v) { walked.push_back(v); });
+        ASSERT_TRUE(std::equal(walked.begin(), walked.end(), model.begin(),
+                               model.end()))
+            << "forEach at step " << step;
     }
 }
 

@@ -13,53 +13,6 @@ namespace fdip
 namespace
 {
 
-TEST(Counter, IncrementAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(41);
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(4);
-    h.sample(0);
-    h.sample(1);
-    h.sample(1);
-    h.sample(100); // Overflow bucket.
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.totalSamples(), 4u);
-}
-
-TEST(Histogram, Mean)
-{
-    Histogram h(16);
-    h.sample(2);
-    h.sample(4);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    h.reset();
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(CounterRegistry, CreatesOnDemand)
-{
-    CounterRegistry reg;
-    reg.counter("a").inc(3);
-    reg.counter("a").inc(2);
-    reg.counter("b").inc();
-    EXPECT_EQ(reg.value("a"), 5u);
-    EXPECT_EQ(reg.value("b"), 1u);
-    EXPECT_EQ(reg.value("missing"), 0u);
-    reg.reset();
-    EXPECT_EQ(reg.value("a"), 0u);
-}
-
 TEST(Means, GeometricMean)
 {
     EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
