@@ -6,20 +6,9 @@
 namespace fdip
 {
 
-namespace
-{
-
-unsigned
-bitsPerEventFor(const BpuConfig &cfg)
-{
-    return cfg.historyPolicy == HistoryPolicy::kTargetHistory ? 2 : 1;
-}
-
-} // namespace
-
 Bpu::Bpu(const BpuConfig &cfg)
     : cfg_(cfg),
-      history_(cfg.historyPolicy, bitsPerEventFor(cfg)),
+      history_(cfg.historyPolicy),
       ras_(cfg.rasDepth)
 {
     if (cfg_.direction == DirectionPredictorKind::kTage) {

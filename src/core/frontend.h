@@ -192,6 +192,9 @@ class Frontend
     FDIP_STATE_ARCH(sub) Ftq ftq_;
     FDIP_STATE_ARCH(sub) Cache l1i_;
     FDIP_STATE_ARCH(sub) Cache itlb_;
+    /** Way of the last ITLB hit or fill, which the next ITLB access
+     *  checks first (see probeEntry). */
+    FDIP_STATE_MICRO unsigned itlbWay_ = 0;
     FDIP_STATE_ARCH(sub)
     std::unique_ptr<Cache> prefetchBuffer_; ///< Optional (original FDP).
     /** In-flight fills; capacity = the modeled MSHR count. */
