@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the core structures: TAGE
  * prediction/update, BTB lookup, history push/snapshot and rewind,
- * cache and ITLB access, FTQ operations, and end-to-end simulated
- * instruction throughput.
+ * cache and ITLB access, the EIP prefetcher's demand lookup, FTQ
+ * operations, and end-to-end simulated instruction throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +16,7 @@
 #include "core/core.h"
 #include "core/core_config.h"
 #include "core/ftq.h"
+#include "prefetch/eip.h"
 #include "prefetch/factory.h"
 #include "trace/suite.h"
 #include "util/rng.h"
@@ -155,6 +156,48 @@ BM_ItlbAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ItlbAccess)->ArgName("hint")->Arg(0)->Arg(1);
+
+void
+BM_EipDemandLookup(benchmark::State &state)
+{
+    // EIP-128KB on the demand stream the frontend gives it: one lookup
+    // per change of fetched line of a client trace, hit or miss from a
+    // 32 KB 8-way L1I (filled on a miss), then up to 4 pops, as
+    // Frontend::drainPrefetchQueue takes per cycle. Time advances one
+    // cycle per instruction.
+    const auto wl = std::make_shared<Workload>(
+        buildWorkload(clientSpec("eip", 1)));
+    const Trace trace = generateTrace(wl, 200000);
+    std::vector<Addr> lines;
+    std::vector<Cycle> gaps;
+    std::size_t last_change = 0;
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+        const Addr line = trace.pcOf(k) & ~Addr{63};
+        if (lines.empty() || line != lines.back()) {
+            lines.push_back(line);
+            gaps.push_back(k - last_change);
+            last_change = k;
+        }
+    }
+    gaps[0] = 1;
+    Cache l1i(CoreConfig{}.l1i);
+    EipPrefetcher eip(EipConfig::sized128KB());
+    Cycle now = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Addr line = lines[i];
+        now += gaps[i];
+        i = i + 1 == lines.size() ? 0 : i + 1;
+        const bool hit = l1i.access(line).has_value();
+        if (!hit)
+            l1i.fill(line);
+        eip.onDemandLookup(line, hit, now);
+        for (int n = 0; n < 4; ++n)
+            benchmark::DoNotOptimize(eip.popPrefetch());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EipDemandLookup);
 
 void
 BM_FtqPushPop(benchmark::State &state)

@@ -2,6 +2,7 @@
 
 #include "util/bits.h"
 #include "util/hotpath.h"
+#include "util/log.h"
 
 namespace fdip
 {
@@ -32,13 +33,26 @@ EipPrefetcher::EipPrefetcher(const EipConfig &cfg, const char *name)
       table_(std::size_t{cfg.sets} * cfg.ways),
       history_(cfg.historyDepth)
 {
+    if (cfg_.destsPerEntry < 1 || cfg_.destsPerEntry > kMaxDests) {
+        fdip_fatal("EIP destsPerEntry %u must be 1..%u", cfg_.destsPerEntry,
+                   kMaxDests);
+    }
+    // The set and history indices mask rather than divide.
+    if (!isPowerOf2(cfg_.sets))
+        fdip_fatal("EIP set count %u must be a power of two", cfg_.sets);
+    if (!isPowerOf2(cfg_.historyDepth)) {
+        fdip_fatal("EIP history depth %u must be a power of two",
+                   cfg_.historyDepth);
+    }
+    if (cfg_.ways == 0)
+        fdip_fatal("EIP needs at least one way");
 }
 
 FDIP_HOT_PATH std::uint32_t
 EipPrefetcher::setOf(Addr line) const
 {
     const std::uint64_t l = line / kCacheLineBytes;
-    return static_cast<std::uint32_t>(mix64(l) % cfg_.sets);
+    return static_cast<std::uint32_t>(mix64(l) & (cfg_.sets - 1));
 }
 
 FDIP_HOT_PATH EipPrefetcher::Entry *
@@ -93,6 +107,38 @@ EipPrefetcher::entangle(Addr src, Addr dst)
 }
 
 FDIP_HOT_PATH void
+EipPrefetcher::prefetchChain(Addr line_addr)
+{
+    // Follow the entangled chain for extra lead. The walk stops once
+    // the queue is full, which is exact: find() is pure, nothing pops
+    // during a lookup, and enqueueing into a full queue does nothing.
+    Addr frontier[16];
+    unsigned num_frontier = 0;
+    frontier[num_frontier++] = line_addr;
+    for (unsigned depth = 0; depth < cfg_.chainDepth; ++depth) {
+        Addr next[16];
+        unsigned num_next = 0;
+        for (unsigned f = 0; f < num_frontier; ++f) {
+            if (queueFull())
+                return;
+            const Entry *e = find(frontier[f]);
+            if (e == nullptr)
+                continue;
+            for (unsigned i = 0; i < e->numDests; ++i) {
+                enqueuePrefetch(e->dests[i]);
+                if (num_next < 16)
+                    next[num_next++] = e->dests[i];
+            }
+        }
+        num_frontier = num_next;
+        for (unsigned i = 0; i < num_next; ++i)
+            frontier[i] = next[i];
+        if (num_frontier == 0)
+            return;
+    }
+}
+
+FDIP_HOT_PATH void
 EipPrefetcher::onDemandLookup(Addr line_addr, bool hit,
                               Cycle now) FDIP_HOT_NOEXCEPT
 {
@@ -102,32 +148,10 @@ EipPrefetcher::onDemandLookup(Addr line_addr, bool hit,
     if (new_line) {
         // Record in the access history (source candidates).
         history_[histPos_] = HistoryRecord{line_addr, now};
-        histPos_ = (histPos_ + 1) % history_.size();
+        histPos_ = (histPos_ + 1) & (history_.size() - 1);
 
-        // Trigger: prefetch everything entangled with this line, and
-        // follow the entangled chain for extra lead.
-        Addr frontier[16];
-        unsigned num_frontier = 0;
-        frontier[num_frontier++] = line_addr;
-        for (unsigned depth = 0; depth < cfg_.chainDepth; ++depth) {
-            Addr next[16];
-            unsigned num_next = 0;
-            for (unsigned f = 0; f < num_frontier; ++f) {
-                const Entry *e = find(frontier[f]);
-                if (e == nullptr)
-                    continue;
-                for (unsigned i = 0; i < e->numDests; ++i) {
-                    enqueuePrefetch(e->dests[i]);
-                    if (num_next < 16)
-                        next[num_next++] = e->dests[i];
-                }
-            }
-            num_frontier = num_next;
-            for (unsigned i = 0; i < num_next; ++i)
-                frontier[i] = next[i];
-            if (num_frontier == 0)
-                break;
-        }
+        // Trigger: prefetch everything entangled with this line.
+        prefetchChain(line_addr);
     }
 
     if (!hit) {
@@ -136,10 +160,9 @@ EipPrefetcher::onDemandLookup(Addr line_addr, bool hit,
         // (short lead, catches path variations).
         Addr timely_src = kNoAddr;
         Addr recent_src = kNoAddr;
+        const std::size_t hist_mask = history_.size() - 1;
         for (std::size_t i = 1; i <= history_.size(); ++i) {
-            const HistoryRecord &h =
-                history_[(histPos_ + history_.size() - i) %
-                         history_.size()];
+            const HistoryRecord &h = history_[(histPos_ - i) & hist_mask];
             if (h.line == kNoAddr)
                 break;
             if (h.line == line_addr)

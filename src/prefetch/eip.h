@@ -24,13 +24,14 @@
 namespace fdip
 {
 
-/** EIP sizing. */
+/** EIP sizing. EipPrefetcher refuses a geometry outside the noted
+ *  ranges: its arrays could not hold it or its masks index it. */
 struct EipConfig
 {
-    unsigned sets = 256;
-    unsigned ways = 34;           ///< 34 = 128KB config; 8 = 27KB.
-    unsigned destsPerEntry = 4;
-    unsigned historyDepth = 64;   ///< Recent-access ring for sources.
+    unsigned sets = 256;          ///< A power of two.
+    unsigned ways = 34;           ///< At least 1.
+    unsigned destsPerEntry = 4;   ///< 1..EipPrefetcher::kMaxDests.
+    unsigned historyDepth = 64;   ///< Source ring; a power of two.
     unsigned entangleLatency = 80; ///< Cycles of lead to hide.
     unsigned chainDepth = 3;      ///< Follow entangled chains this deep.
 
@@ -48,6 +49,9 @@ class EipPrefetcher final : public InstPrefetcher
     explicit EipPrefetcher(const EipConfig &cfg = EipConfig::sized128KB(),
                            const char *name = "EIP");
 
+    /** Destinations one entry can hold. */
+    static constexpr unsigned kMaxDests = 4;
+
     const char *name() const override { return name_; }
     std::uint64_t storageBits() const override;
 
@@ -59,7 +63,7 @@ class EipPrefetcher final : public InstPrefetcher
     {
         bool valid = false;
         Addr srcLine = kNoAddr;
-        std::array<Addr, 4> dests{};
+        std::array<Addr, kMaxDests> dests{};
         std::uint8_t numDests = 0;
         std::uint8_t nextVictim = 0;
         std::uint64_t lru = 0;
@@ -75,6 +79,7 @@ class EipPrefetcher final : public InstPrefetcher
     Entry *find(Addr line);
     Entry &allocate(Addr line);
     void entangle(Addr src, Addr dst);
+    void prefetchChain(Addr line_addr);
 
     FDIP_STATE_MICRO const char *name_;
     FDIP_STATE_MICRO EipConfig cfg_;

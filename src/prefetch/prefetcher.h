@@ -10,6 +10,7 @@
 #define FDIP_PREFETCH_PREFETCHER_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -116,6 +117,7 @@ class InstPrefetcher
         if (count_ == 0)
             return kNoAddr;
         const Addr a = queue_[head_];
+        bucketSlots_[bucketOf(a)] &= ~(std::uint64_t{1} << head_);
         head_ = (head_ + 1) % kMaxQueue;
         --count_;
         return a;
@@ -128,24 +130,48 @@ class InstPrefetcher
     }
 
   protected:
+    /** True when enqueuePrefetch() would drop every candidate. */
+    [[nodiscard]] FDIP_HOT_PATH bool queueFull() const noexcept
+    {
+        return count_ >= kMaxQueue;
+    }
+
     /** Enqueues a candidate prefetch line (deduplicated FIFO, bounded).
      *  The queue is a fixed in-place ring — models a hardware queue and
-     *  keeps the per-tick path allocation-free. */
+     *  keeps the per-tick path allocation-free. The duplicate check
+     *  compares only the occupied slots of the line's bucket. */
     FDIP_HOT_PATH void
     enqueuePrefetch(Addr line_addr) noexcept
     {
-        if (count_ >= kMaxQueue)
+        if (queueFull())
             return;
-        for (std::size_t i = 0; i < count_; ++i)
-            if (queue_[(head_ + i) % kMaxQueue] == line_addr)
+        std::uint64_t &slots = bucketSlots_[bucketOf(line_addr)];
+        for (std::uint64_t s = slots; s != 0; s &= s - 1) {
+            if (queue_[static_cast<unsigned>(std::countr_zero(s))] ==
+                line_addr)
                 return;
-        queue_[(head_ + count_) % kMaxQueue] = line_addr;
+        }
+        const std::size_t tail = (head_ + count_) % kMaxQueue;
+        queue_[tail] = line_addr;
+        slots |= std::uint64_t{1} << tail;
         ++count_;
     }
 
   private:
     static constexpr std::size_t kMaxQueue = 64;
+    static constexpr std::size_t kBuckets = 64;
+    static_assert(kMaxQueue <= 64, "a bucket's slot set is one word");
+
+    /** Dedup bucket of a line: its low line-number bits. */
+    FDIP_HOT_PATH static constexpr std::size_t
+    bucketOf(Addr line_addr) noexcept
+    {
+        return (line_addr / kCacheLineBytes) % kBuckets;
+    }
+
     FDIP_STATE_MICRO std::array<Addr, kMaxQueue> queue_{};
+    /** Per bucket, the set of occupied slots holding its lines. */
+    FDIP_STATE_MICRO std::array<std::uint64_t, kBuckets> bucketSlots_{};
     FDIP_STATE_MICRO std::size_t head_ = 0;
     FDIP_STATE_MICRO std::size_t count_ = 0;
 };

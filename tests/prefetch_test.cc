@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <string>
+
 #include "prefetch/djolt.h"
 #include "prefetch/eip.h"
 #include "prefetch/factory.h"
@@ -11,6 +15,8 @@
 #include "prefetch/next_line.h"
 #include "prefetch/rdip.h"
 #include "prefetch/sn4l_dis.h"
+#include "prefetch_reference.h"
+#include "util/rng.h"
 
 namespace fdip
 {
@@ -230,6 +236,145 @@ TEST(PrefetchQueue, BoundedDepth)
     p.onDemandLookup(0, false, 0);
     EXPECT_LE(p.pendingPrefetches(), 64u);
 }
+
+TEST(Eip, RefusesConfigsItsArraysCannotHold)
+{
+    auto make = [](void (*edit)(EipConfig &)) {
+        EipConfig cfg = EipConfig::sized27KB();
+        edit(cfg);
+        EipPrefetcher p(cfg);
+    };
+    EXPECT_DEATH(make([](EipConfig &c) { c.destsPerEntry = 5; }),
+                 "destsPerEntry 5 must be 1..4");
+    EXPECT_DEATH(make([](EipConfig &c) { c.destsPerEntry = 0; }),
+                 "destsPerEntry 0 must be 1..4");
+    EXPECT_DEATH(make([](EipConfig &c) { c.sets = 0; }),
+                 "set count 0 must be a power of two");
+    EXPECT_DEATH(make([](EipConfig &c) { c.sets = 96; }),
+                 "set count 96 must be a power of two");
+    EXPECT_DEATH(make([](EipConfig &c) { c.historyDepth = 0; }),
+                 "history depth 0 must be a power of two");
+    EXPECT_DEATH(make([](EipConfig &c) { c.historyDepth = 48; }),
+                 "history depth 48 must be a power of two");
+    EXPECT_DEATH(make([](EipConfig &c) { c.ways = 0; }),
+                 "at least one way");
+}
+
+TEST(Eip, AcceptsEdgeConfigs)
+{
+    EipConfig cfg = EipConfig::sized27KB();
+    cfg.destsPerEntry = 1;
+    cfg.sets = 1;
+    cfg.ways = 1;
+    cfg.historyDepth = 1;
+    EipPrefetcher p(cfg);
+    p.onDemandLookup(0x10000, true, 0);
+    p.onDemandLookup(0x20000, false, 100);
+    EXPECT_EQ(drain(p), std::vector<Addr>{0x20000 + kL});
+}
+
+struct LockstepParam
+{
+    const char *name;
+    std::unique_ptr<InstPrefetcher> (*real)();
+    std::unique_ptr<test::ReferencePrefetcher> (*reference)();
+};
+
+void
+PrintTo(const LockstepParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+class PrefetchLockstep : public ::testing::TestWithParam<LockstepParam>
+{
+};
+
+TEST_P(PrefetchLockstep, MatchesReference)
+{
+    // Code-like demand streams: runs of one line, sequential steps,
+    // jumps within 512 hot lines (8 per dedup bucket) and within 16K
+    // cold ones (enough sources to evict from EIP), hits and misses,
+    // time steps both shorter and longer than EIP's entangle latency,
+    // and 0-4 pops per lookup. Repeat-heavy phases let the queue drain
+    // after miss-heavy ones fill it. Every popped candidate and the
+    // queue depth must match the reference at every step.
+    const auto real = GetParam().real();
+    const auto ref = GetParam().reference();
+    Rng rng(19);
+    Addr line = 0x400000;
+    Cycle now = 0;
+    std::size_t full_steps = 0;
+    std::size_t drained_after_full = 0;
+    std::uint64_t pops = 0;
+    bool was_full = false;
+
+    for (int step = 0; step < 30000; ++step) {
+        const bool draining = (step / 400) % 3 == 2;
+        const std::uint64_t move = rng.below(draining ? 64 : 8);
+        if (move == 1)
+            line = 0x400000 + rng.below(512) * kL;
+        else if (move == 2)
+            line = 0x800000 + rng.below(16384) * kL;
+        else if (move > 2 && move < 8)
+            line += kL;
+        const bool hit = rng.below(draining ? 64 : 3) != 0;
+        now += rng.below(4) == 0 ? rng.below(200) : rng.below(4);
+        real->onDemandLookup(line, hit, now);
+        ref->onDemandLookup(line, hit, now);
+        ASSERT_EQ(real->pendingPrefetches(), ref->pendingPrefetches())
+            << "step " << step;
+
+        const std::uint64_t n = rng.below(5);
+        for (std::uint64_t k = 0; k < n; ++k) {
+            const Addr want = ref->popPrefetch();
+            ASSERT_EQ(real->popPrefetch(), want)
+                << "step " << step << " pop " << k;
+            pops += want != kNoAddr ? 1 : 0;
+        }
+        ASSERT_EQ(real->pendingPrefetches(), ref->pendingPrefetches())
+            << "step " << step;
+
+        const std::size_t depth = ref->pendingPrefetches();
+        full_steps += depth == 64 ? 1 : 0;
+        was_full = was_full || depth == 64;
+        if (was_full && depth == 0) {
+            ++drained_after_full;
+            was_full = false;
+        }
+    }
+    // The stream must fill the queue, drain it and wrap the ring.
+    EXPECT_GT(full_steps, 100u);
+    EXPECT_GT(drained_after_full, 10u);
+    EXPECT_GT(pops, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Prefetchers, PrefetchLockstep,
+    ::testing::Values(
+        LockstepParam{
+            "eip_128KB",
+            [] { return makePrefetcher("eip-128"); },
+            []() -> std::unique_ptr<test::ReferencePrefetcher> {
+                return std::make_unique<test::ReferenceEip>(
+                    EipConfig::sized128KB());
+            }},
+        LockstepParam{
+            "eip_27KB",
+            [] { return makePrefetcher("eip-27"); },
+            []() -> std::unique_ptr<test::ReferencePrefetcher> {
+                return std::make_unique<test::ReferenceEip>(
+                    EipConfig::sized27KB());
+            }},
+        LockstepParam{
+            "next_line_200",
+            []() -> std::unique_ptr<InstPrefetcher> {
+                return std::make_unique<NextLinePrefetcher>(200);
+            },
+            []() -> std::unique_ptr<test::ReferencePrefetcher> {
+                return std::make_unique<test::ReferenceNextLine>(200);
+            }}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace
 } // namespace fdip

@@ -76,8 +76,9 @@ usage()
         "rdip|sn4l+dis|sn4l+dis+btb\n"
         "  --two-level-btb    enable the L1/L2 BTB hierarchy\n"
         "  --loop-predictor   enable the loop-exit predictor\n"
-        "  --prefetch-buffer  prefetch into a side buffer (original "
-        "FDP)\n"
+        "  --prefetch-buffer  put the L1I prefetcher's fills in a side "
+        "buffer, not the L1I\n"
+        "                     (needs --prefetcher other than none)\n"
         "  --perfect-icache   every L1I access hits\n"
         "  --perfect-prefetch instantaneous prefetching (with traffic)\n"
         "  --perfect-btb      oracle branch detection\n"
@@ -390,6 +391,10 @@ main(int argc, char **argv)
     Options opt = parseArgs(argc, argv);
     if (!opt.campaign.empty() || opt.merge)
         return campaignMain(opt);
+    // Only an L1I prefetcher's fills go to the buffer (the FTQ's are
+    // demand fills), so without one it would stay empty.
+    if (opt.cfg.usePrefetchBuffer && opt.prefetcher == "none")
+        fdip_fatal("--prefetch-buffer needs --prefetcher other than none");
     const auto suite = buildInputs(opt);
 
     // With one run there is nothing to clobber, so honor the trace

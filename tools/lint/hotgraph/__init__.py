@@ -24,5 +24,14 @@ machine-readable `hot-callgraph-v1` JSON report.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+# The package shares the lint scripts' modules (lintlib's lexer rules,
+# check_hotpath's banned operations), so tools/lint must be importable.
+_LINT_DIR = str(Path(__file__).resolve().parents[1])
+if _LINT_DIR not in sys.path:
+    sys.path.insert(0, _LINT_DIR)
+
 #: Version tag stamped into the JSON report schema.
 SCHEMA = "hot-callgraph-v1"

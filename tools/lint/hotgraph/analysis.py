@@ -26,10 +26,8 @@ are *supposed* to format strings and throw.
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .model import (ALLOWLIST, INCLUDE_EXCEPTIONS, MODULE_RANK,
                     RULE_BANNED_OP, RULE_LAYERING, RULE_STALE_ALLOW,
@@ -40,9 +38,6 @@ from .model import (ALLOWLIST, INCLUDE_EXCEPTIONS, MODULE_RANK,
 
 # The banned-operation rules are check_hotpath.py's, imported so the
 # two enforcement layers can never drift apart.
-_LINT_DIR = str(Path(__file__).resolve().parents[1])
-if _LINT_DIR not in sys.path:
-    sys.path.insert(0, _LINT_DIR)
 from check_hotpath import BAN_RULES  # noqa: E402
 
 #: Short allowlist keys for BAN_RULES, index-aligned. A banned-op

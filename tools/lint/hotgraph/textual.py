@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from lintlib import pp_number_end
+
 from .model import (CallSite, ClassInfo, FileIndex, FunctionInfo,
                     HotRegion, Include, MethodDecl, ProgramIndex)
 
@@ -63,8 +65,9 @@ def strip_code(text: str) -> str:
             out.extend(_blank(text, i, min(j + 1, n)))
             i = j + 1
         else:
-            out.append(c)
-            i += 1
+            j = max(pp_number_end(text, i), i + 1)
+            out.append(text[i:j])
+            i = j
     stripped = "".join(out)
 
     # Blank preprocessor directives (and their continuations) with

@@ -12,7 +12,7 @@ machinery rather than a copy of it.
 
 Consumers: check_sources.py, check_determinism.py,
 check_concurrency.py, check_hotpath.py (and run_lint_tests.py via
-those).
+those); hotgraph/textual.py shares its pp-number rule.
 """
 
 from __future__ import annotations
@@ -34,6 +34,35 @@ def source_files(root: Path) -> list[Path]:
     """All lintable C++ files under <root>/src, headers first."""
     src = root / "src"
     return sorted(src.rglob("*.h")) + sorted(src.rglob("*.cc"))
+
+
+def pp_number_end(text: str, i: int) -> int:
+    """End offset of the pp-number that starts at @p i, or @p i when
+    none starts there.
+
+    A pp-number is a token that starts with a digit, so an apostrophe
+    inside it is a digit separator (0x4644'4950), not a char-literal
+    quote. A digit that continues an identifier starts no pp-number,
+    so the quote after an encoding prefix (u8'x') still opens a char
+    literal.
+    """
+    n = len(text)
+    if not text[i].isdigit() or (
+            i > 0 and (text[i - 1].isalnum() or text[i - 1] == "_")):
+        return i
+    j = i + 1
+    while j < n:
+        c = text[j]
+        if c.isalnum() or c in "._":
+            j += 1
+        elif c == "'" and j + 1 < n and (text[j + 1].isalnum() or
+                                         text[j + 1] == "_"):
+            j += 2
+        elif c in "+-" and text[j - 1] in "eEpP":
+            j += 1
+        else:
+            break
+    return j
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -58,8 +87,9 @@ def strip_comments_and_strings(text: str) -> str:
             out.append(" ")
             i = j + 1
         else:
-            out.append(c)
-            i += 1
+            j = max(pp_number_end(text, i), i + 1)
+            out.append(text[i:j])
+            i = j
     return "".join(out)
 
 

@@ -159,6 +159,12 @@ class DirtyTreeIsCaught(LintAssertions):
         self.assertFinding(self.sources, "src/util/bad_header.h",
                            "not self-contained")
 
+    def test_code_after_digit_separator(self):
+        # The separator in 0x46444950'54524331ULL is no char-literal
+        # quote: the code after it is still linted.
+        self.assertFinding(self.sources, "src/util/digit_separator.cc",
+                           "rand()/srand() is banned", count=1)
+
     # --- check_determinism rules -------------------------------------
     def test_det_rand(self):
         self.assertFinding(self.determinism, "src/util/bad_content.cc",
@@ -183,6 +189,12 @@ class DirtyTreeIsCaught(LintAssertions):
     def test_getenv(self):
         self.assertFinding(self.determinism, "src/util/bad_content.cc",
                            "getenv() is banned", count=1)
+
+    def test_code_between_prefixed_char_literals(self):
+        # u8'x' is a char literal, not a digit separator after "u8".
+        self.assertFinding(self.determinism,
+                           "src/util/digit_separator.cc",
+                           "time() is banned", count=1)
 
     def test_profiler_clock_site_is_caught_when_not_allowlisted(self):
         # The tick-profiler pattern (one chrono read in an
