@@ -3,11 +3,13 @@
  * Google-benchmark microbenchmarks of the core structures: TAGE
  * prediction/update, BTB lookup, history push/snapshot and rewind,
  * cache and ITLB access, the EIP prefetcher's demand lookup, FTQ
- * operations, and end-to-end simulated instruction throughput.
+ * operations, end-to-end simulated instruction throughput, and the
+ * campaign manifest's trace digest.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "core/ftq.h"
 #include "prefetch/eip.h"
 #include "prefetch/factory.h"
+#include "sim/experiment.h"
 #include "trace/suite.h"
 #include "util/rng.h"
 
@@ -254,6 +257,46 @@ BM_TraceGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
+
+void
+BM_TraceDigest(benchmark::State &state)
+{
+    // The campaign benchmark's 15 traces (programs 0-4 of the server,
+    // client and SPEC-like classes, workload seed 1, 100K instructions
+    // each), hashed as buildManifest hashes them. The counter is host
+    // time per byte the digest covers: 24 per static instruction (its
+    // class, parameter and target as 64-bit words) plus 16 per dynamic
+    // one.
+    static const std::vector<SuiteEntry> suite = [] {
+        std::vector<SuiteEntry> out;
+        for (unsigned j = 0; j < 5; ++j) {
+            const std::string n = std::to_string(j);
+            for (const WorkloadSpec &spec :
+                 {serverSpec("srv" + n, 101 + 1000 * j),
+                  clientSpec("clt" + n, 201 + 1000 * j),
+                  specCpuSpec("spec" + n, 301 + 1000 * j)}) {
+                auto wl = std::make_shared<Workload>(buildWorkload(spec));
+                out.push_back({spec.name, generateTrace(wl, 100000)});
+            }
+        }
+        return out;
+    }();
+    double bytes = 0;
+    for (const SuiteEntry &e : suite) {
+        bytes += 24.0 * static_cast<double>(e.trace.image().numInsts()) +
+                 16.0 * static_cast<double>(e.trace.size());
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        for (const SuiteEntry &e : suite)
+            benchmark::DoNotOptimize(traceDigest(e));
+    }
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - t0;
+    state.counters["ns_per_byte"] =
+        elapsed.count() / (bytes * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TraceDigest)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace fdip

@@ -132,8 +132,9 @@ checkFtqEntry(const FtqEntry &e)
 }
 
 /**
- * FTQ integrity: occupancy within capacity, entries well-formed, and
- * block sequence numbers strictly increasing from head to tail.
+ * FTQ integrity: occupancy within capacity, entries well-formed, block
+ * sequence numbers strictly increasing from head to tail, and no entry
+ * before the probe cursor still kPredicted.
  */
 FDIP_HOT_PATH inline void
 checkFtqIntegrity(const Ftq &ftq)
@@ -142,6 +143,9 @@ checkFtqIntegrity(const Ftq &ftq)
     FDIP_CHECK(ftq.size() <= ftq.capacity(),
                "FTQ occupancy %zu exceeds capacity %zu", ftq.size(),
                ftq.capacity());
+    FDIP_CHECK(ftq.probed() <= ftq.size(),
+               "FTQ probe cursor %zu beyond occupancy %zu", ftq.probed(),
+               ftq.size());
     std::size_t i = 0;
     std::uint64_t prev_seq = 0;
     ftq.forEach([&](const FtqEntry &e) {
@@ -150,6 +154,10 @@ checkFtqIntegrity(const Ftq &ftq)
             FDIP_CHECK(prev_seq < e.seq,
                        "FTQ block sequence not monotone at position %zu", i);
         }
+        FDIP_CHECK(i >= ftq.probed() || e.state != FtqState::kPredicted,
+                   "FTQ entry %zu is unprobed but before the probe cursor "
+                   "%zu",
+                   i, ftq.probed());
         prev_seq = e.seq;
         ++i;
     });

@@ -638,14 +638,18 @@ FDIP_HOT_PATH void
 Frontend::fetchCycle(Cycle now)
 {
     // ---- I-cache fill stage: the two oldest translation-ready entries
-    // probe the ITLB and L1I tags.
+    // probe the ITLB and L1I tags. No entry before the probe cursor is
+    // kPredicted, so the scan starts there.
     unsigned probes = cfg_.fetchProbesPerCycle;
-    for (std::size_t q = 0; q < ftq_.size() && probes > 0; ++q) {
+    for (std::size_t q = ftq_.probed(); q < ftq_.size() && probes > 0;
+         ++q) {
         FtqEntry &e = ftq_.at(q);
         if (e.state == FtqState::kPredicted && e.readyAt <= now) {
             probeEntry(e, q, now);
             --probes;
         }
+        if (q == ftq_.probed() && e.state != FtqState::kPredicted)
+            ftq_.advanceProbed();
     }
 
     deliverFromHead(now);

@@ -12,6 +12,7 @@
 #ifndef FDIP_CORE_FTQ_H_
 #define FDIP_CORE_FTQ_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -190,7 +191,13 @@ class Ftq
     {
         pushSlot() = std::move(e);
     }
-    FDIP_HOT_PATH void popHead() FDIP_HOT_NOEXCEPT { q_.popFront(); }
+    FDIP_HOT_PATH void
+    popHead() FDIP_HOT_NOEXCEPT
+    {
+        q_.popFront();
+        if (probed_ > 0)
+            --probed_;
+    }
     FDIP_HOT_PATH FtqEntry &at(std::size_t i) FDIP_HOT_NOEXCEPT
     {
         return q_.at(i);
@@ -210,9 +217,28 @@ class Ftq
     truncateAfter(std::size_t keep_count) FDIP_HOT_NOEXCEPT
     {
         q_.resizeTo(keep_count);
+        probed_ = std::min(probed_, keep_count);
     }
 
-    FDIP_HOT_PATH void clear() { q_.clear(); }
+    FDIP_HOT_PATH void
+    clear()
+    {
+        q_.clear();
+        probed_ = 0;
+    }
+
+    /**
+     * The probe cursor: a count of head entries known to be past
+     * kPredicted, where the fill stage's scan for entries to probe
+     * starts. It stays exact because entry states only move forward
+     * (kPredicted, kFilling, kReady) and entries join at the tail;
+     * popHead, truncateAfter and clear keep it within the queue.
+     */
+    FDIP_HOT_PATH std::size_t probed() const { return probed_; }
+
+    /** Moves the probe cursor past the entry at it, which the caller
+     *  has seen past kPredicted. */
+    FDIP_HOT_PATH void advanceProbed() { ++probed_; }
 
     /** Calls @p f on every entry, head first (CircularQueue::forEach). */
     template <typename F>
@@ -272,6 +298,7 @@ class Ftq
     FDIP_STATE_ARCH(start_addr, predicted_taken, term_offset, icache_way,
                     state, dir_hints)
     CircularQueue<FtqEntry> q_;
+    FDIP_STATE_MICRO std::size_t probed_ = 0; ///< See probed().
 };
 
 } // namespace fdip

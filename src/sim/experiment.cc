@@ -1,6 +1,11 @@
 #include "sim/experiment.h"
 
+#include <array>
+#include <bit>
 #include <chrono>
+#include <cstddef>
+#include <cstring>
+#include <string_view>
 
 #include "obs/obs_config.h"
 #include "obs/trace_events.h"
@@ -246,6 +251,37 @@ configDigest(const CoreConfig &cfg)
     return fnv1a64(canonicalConfigText(cfg));
 }
 
+namespace
+{
+
+/** The 24 bytes of a static instruction of class @p cls with parameter
+ *  0 and no target, as traceDigest hashes its three fields. */
+constexpr FnvConstantRun
+targetlessRecord(std::size_t cls)
+{
+    std::array<char, 24> bytes{};
+    bytes[0] = static_cast<char>(cls);
+    for (std::size_t i = 16; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(0xff);
+    return FnvConstantRun(std::string_view(bytes.data(), bytes.size()));
+}
+
+/** targetlessRecord of every InstClass, indexed by class. */
+constexpr auto kTargetlessRecord = [] {
+    std::array<FnvConstantRun,
+               static_cast<std::size_t>(InstClass::kReturn) + 1>
+        runs;
+    for (std::size_t cls = 0; cls < runs.size(); ++cls)
+        runs[cls] = targetlessRecord(cls);
+    return runs;
+}();
+
+/** The 8 bytes of a kNoAddr word. */
+constexpr FnvConstantRun kNoAddrWord(
+    std::string_view("\xff\xff\xff\xff\xff\xff\xff\xff", 8));
+
+} // namespace
+
 std::uint64_t
 traceDigest(const SuiteEntry &entry)
 {
@@ -253,22 +289,37 @@ traceDigest(const SuiteEntry &entry)
     h = fnv1a64(entry.name, h);
     h = fnv1aByte(0, h); // Name/content separator.
 
+    // Each static instruction hashes as three 64-bit words; the common
+    // targetless record (class, 0, kNoAddr) is one constant run.
     const ProgramImage &image = entry.trace.image();
     h = fnv1aMix(image.baseAddr(), h);
     h = fnv1aMix(image.numInsts(), h);
     for (std::uint32_t i = 0; i < image.numInsts(); ++i) {
         const StaticInst &si = image.inst(i);
-        h = fnv1aMix(static_cast<std::uint64_t>(si.cls), h);
-        h = fnv1aMix(static_cast<std::uint64_t>(si.param), h);
+        const auto cls = static_cast<std::size_t>(si.cls);
+        if (si.param == 0 && si.target == kNoAddr &&
+            cls < kTargetlessRecord.size()) {
+            h = kTargetlessRecord[cls](h);
+            continue;
+        }
+        h = fnv1aMix(cls, h);
+        h = fnv1aMix(si.param, h);
         h = fnv1aMix(si.target, h);
     }
 
-    // The dynamic stream hashes as raw bytes: DynInst's 16-byte layout
-    // is static_asserted stable and its padding is explicitly zeroed.
+    // The dynamic stream hashes as its raw bytes in memory order, one
+    // little-endian word at a time: DynInst's 16-byte layout is
+    // static_asserted stable and its padding is explicitly zeroed.
+    static_assert(std::endian::native == std::endian::little,
+                  "a DynInst word's value must list its bytes in memory "
+                  "order");
+    static_assert(offsetof(DynInst, info) == sizeof(std::uint64_t));
     h = fnv1aMix(entry.trace.insts.size(), h);
-    if (!entry.trace.insts.empty()) {
-        h = fnv1a64Bytes(entry.trace.insts.data(),
-                         entry.trace.insts.size() * sizeof(DynInst), h);
+    for (const DynInst &d : entry.trace.insts) {
+        std::uint64_t head; // staticIndex, taken and padding.
+        std::memcpy(&head, &d, sizeof(head));
+        h = fnv1aMix(head, h);
+        h = d.info == kNoAddr ? kNoAddrWord(h) : fnv1aMix(d.info, h);
     }
     return h;
 }

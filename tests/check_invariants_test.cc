@@ -178,6 +178,22 @@ TEST(Invariant, FtqIntegrityCatchesMalformedEntries)
         EXPECT_THROW(checkFtqIntegrity(ftq), InvariantViolation);
     }
     {
+        // An unprobed entry before the probe cursor; a cursor past the
+        // tail.
+        Ftq ftq(4);
+        pushValid(ftq, 0);
+        pushValid(ftq, 1);
+        ftq.at(0).state = FtqState::kReady;
+        ftq.advanceProbed();
+        EXPECT_NO_THROW(checkFtqIntegrity(ftq));
+        ftq.advanceProbed();
+        EXPECT_THROW(checkFtqIntegrity(ftq), InvariantViolation);
+        ftq.at(1).state = FtqState::kFilling;
+        EXPECT_NO_THROW(checkFtqIntegrity(ftq));
+        ftq.advanceProbed();
+        EXPECT_THROW(checkFtqIntegrity(ftq), InvariantViolation);
+    }
+    {
         // Terminating offset beyond the 8-instruction block.
         FtqEntry e = validEntry(0);
         e.termOffset = 8;

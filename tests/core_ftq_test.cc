@@ -74,6 +74,37 @@ TEST(Ftq, FifoAndTruncate)
     EXPECT_TRUE(ftq.empty());
 }
 
+TEST(Ftq, ProbeCursorStaysWithinTheQueue)
+{
+    // The cursor counts probed head entries: a pop moves it down with
+    // the head, a truncation clamps it to what is kept, and a flush
+    // zeroes it.
+    Ftq ftq(8);
+    for (int i = 0; i < 5; ++i) {
+        FtqEntry e;
+        ftq.push(std::move(e));
+    }
+    EXPECT_EQ(ftq.probed(), 0u);
+    for (int i = 0; i < 4; ++i)
+        ftq.advanceProbed();
+    EXPECT_EQ(ftq.probed(), 4u);
+    ftq.popHead();
+    EXPECT_EQ(ftq.probed(), 3u);
+    ftq.truncateAfter(1);
+    EXPECT_EQ(ftq.probed(), 1u);
+    ftq.popHead();
+    EXPECT_EQ(ftq.probed(), 0u);
+    for (int i = 0; i < 3; ++i) {
+        FtqEntry e;
+        ftq.push(std::move(e));
+    }
+    ftq.popHead(); // An unprobed head: the cursor stays at 0.
+    EXPECT_EQ(ftq.probed(), 0u);
+    ftq.advanceProbed();
+    ftq.clear();
+    EXPECT_EQ(ftq.probed(), 0u);
+}
+
 TEST(FtqEntry, RepairCheckpointsStaySmall)
 {
     // An entry carries a 16-byte history checkpoint (ring head + recent

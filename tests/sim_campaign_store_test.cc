@@ -8,13 +8,16 @@
 
 #include "sim/campaign_store.h"
 
+#include <bit>
 #include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "trace_digest_reference.h"
 #include "util/atomic_file.h"
 #include "util/fnv.h"
+#include "util/rng.h"
 
 namespace fdip
 {
@@ -39,13 +42,73 @@ TEST(Fnv, MatchesPublishedVectors)
     EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
+static_assert(fnv1aMix(0x0012345600789abcull, kFnvOffsetBasis) ==
+              test::referenceFnv1aMix(0x0012345600789abcull,
+                                      kFnvOffsetBasis));
+static_assert(FnvConstantRun("fdip")(kFnvOffsetBasis) == fnv1a64("fdip"));
+
 TEST(Fnv, MixEqualsByteWiseLittleEndian)
 {
     const std::uint64_t v = 0x0123456789abcdefull;
-    std::uint64_t h = kFnvOffsetBasis;
-    for (unsigned i = 0; i < 8; ++i)
-        h = fnv1aByte(static_cast<std::uint8_t>(v >> (8 * i)), h);
-    EXPECT_EQ(fnv1aMix(v, kFnvOffsetBasis), h);
+    EXPECT_EQ(fnv1aMix(v, kFnvOffsetBasis),
+              test::referenceFnv1aMix(v, kFnvOffsetBasis));
+
+    // fnv1aMix folds a value's zero high bytes into one multiply: check
+    // every count of them, with random, zero or zero-low bytes below
+    // the highest nonzero one, from random states.
+    Rng rng(20);
+    for (unsigned zero_high = 0; zero_high <= 8; ++zero_high) {
+        const unsigned bytes = 8 - zero_high;
+        const std::uint64_t below_top =
+            bytes <= 1 ? 0 : (std::uint64_t{1} << (8 * (bytes - 1))) - 1;
+        for (int n = 0; n < 3000; ++n) {
+            std::uint64_t value = 0;
+            if (bytes > 0) {
+                value = (rng.next() & below_top) |
+                        rng.range(1, 255) << (8 * (bytes - 1));
+                if (n % 3 == 0)
+                    value &= ~below_top;
+                else if (n % 3 == 1)
+                    value &= ~(below_top & 0xff);
+            }
+            ASSERT_EQ(static_cast<unsigned>(std::countl_zero(value)) / 8,
+                      zero_high);
+            const std::uint64_t h = n % 3 == 0 ? kFnvOffsetBasis : rng.next();
+            ASSERT_EQ(fnv1aMix(value, h), test::referenceFnv1aMix(value, h))
+                << "value " << std::hex << value << ", state " << h;
+        }
+    }
+}
+
+TEST(Fnv, ConstantRunEqualsByteWise)
+{
+    // One multiply and one table load stand for a fixed string: check
+    // every low state byte under zero, all-ones and random high bytes.
+    Rng rng(21);
+    std::string random_bytes(37, '\0');
+    for (char &c : random_bytes)
+        c = static_cast<char>(rng.below(256));
+    std::string targetless_call(24, '\0');
+    targetless_call[0] = static_cast<char>(InstClass::kCallIndirect);
+    targetless_call.replace(16, 8, 8, '\xff');
+    const std::string strings[] = {
+        std::string(),          std::string(1, '\0'),
+        std::string(8, '\xff'), targetless_call,
+        random_bytes,           std::string(64, '\0'),
+    };
+    for (const std::string &bytes : strings) {
+        const FnvConstantRun run(bytes);
+        for (std::uint64_t low = 0; low < 256; ++low) {
+            for (int n = 0; n < 16; ++n) {
+                const std::uint64_t high =
+                    n == 0 ? 0 : n == 1 ? ~std::uint64_t{0} : rng.next();
+                const std::uint64_t h = (high & ~std::uint64_t{0xff}) | low;
+                ASSERT_EQ(run(h), fnv1a64(bytes, h))
+                    << bytes.size() << "-byte string, state " << std::hex
+                    << h;
+            }
+        }
+    }
 }
 
 TEST(Fnv, Hex16RoundTripsAndRejectsBadInput)

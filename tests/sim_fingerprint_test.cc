@@ -11,8 +11,14 @@
  * predictors, FTQ depths, PFC, the two-level BTB and a prefetcher; the
  * traces are the small suite's server, client and SPEC-like programs.
  *
- * A deliberate behaviour change replaces the golden with the JSON this
- * test prints on a mismatch, and says why in the commit.
+ * The same file pins the spool's content addresses against
+ * tests/data/content_address.golden.json: traceDigest of the small
+ * suite's traces and of a ChampSim round trip, and the smoke and
+ * prefetchers manifest hashes over them. A speed change to the
+ * digests must leave them passing, or every spooled record misses.
+ *
+ * A deliberate change replaces a golden with the JSON its test prints
+ * on a mismatch, and says why in the commit.
  */
 
 #include <gtest/gtest.h>
@@ -26,9 +32,12 @@
 
 #include "core/core_config.h"
 #include "prefetch/factory.h"
+#include "sim/campaign_presets.h"
 #include "sim/campaign_store.h"
 #include "sim/experiment.h"
+#include "trace/champsim.h"
 #include "trace/suite.h"
+#include "util/fnv.h"
 
 namespace fdip
 {
@@ -90,15 +99,15 @@ fingerprintConfigs()
     return out;
 }
 
-/** "config/trace" -> 16-digit hex checksum, in run order. */
-using Fingerprint = std::vector<std::pair<std::string, std::string>>;
+/** Ordered key -> 16-digit hex value table that one golden pins. */
+using GoldenTable = std::vector<std::pair<std::string, std::string>>;
 
-Fingerprint
+GoldenTable
 computeFingerprint()
 {
     const std::vector<SuiteEntry> suite =
         buildStandardSuite(kInstsPerTrace, /*small=*/true);
-    Fingerprint fp;
+    GoldenTable fp;
     for (const FingerprintConfig &c : fingerprintConfigs()) {
         const std::string pf = c.prefetcher;
         const PrefetcherFactory make = [pf](const Trace &) {
@@ -106,36 +115,74 @@ computeFingerprint()
         };
         for (const SuiteEntry &entry : suite) {
             const RunResult r = runOne(c.cfg, entry, make, kWarmupFraction);
-            char hex[17];
-            std::snprintf(hex, sizeof(hex), "%016llx",
-                          static_cast<unsigned long long>(
-                              architecturalChecksum(r.stats)));
-            fp.emplace_back(c.name + "/" + entry.name, hex);
+            fp.emplace_back(c.name + "/" + entry.name,
+                            toHex16(architecturalChecksum(r.stats)));
         }
     }
     return fp;
 }
 
+/**
+ * The spool's content addresses: traceDigest of each small-suite trace
+ * and of the first one round-tripped through the ChampSim exporter and
+ * importer, then every manifest hash of the smoke and prefetchers
+ * presets over the small suite.
+ */
+GoldenTable
+computeContentAddresses()
+{
+    const std::vector<SuiteEntry> suite =
+        buildStandardSuite(kInstsPerTrace, /*small=*/true);
+    GoldenTable out;
+    for (const SuiteEntry &entry : suite)
+        out.emplace_back("trace/" + entry.name,
+                         toHex16(traceDigest(entry)));
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "/content_address.champsim";
+    SuiteEntry imported;
+    imported.name = "champsim-" + suite.front().name;
+    EXPECT_TRUE(writeChampSimTrace(path, suite.front().trace));
+    EXPECT_TRUE(readChampSimTrace(path, 0, imported.trace));
+    std::remove(path.c_str());
+    out.emplace_back("trace/" + imported.name,
+                     toHex16(traceDigest(imported)));
+
+    for (const char *campaign : {"smoke", "prefetchers"}) {
+        const std::vector<CampaignEntry> entries =
+            buildCampaignEntries(campaign);
+        for (const ManifestEntry &m :
+             buildManifest(entries, suite, kWarmupFraction)) {
+            out.emplace_back(std::string("manifest/") + campaign + "/" +
+                                 entries[m.entryIdx].label + "/" +
+                                 suite[m.workloadIdx].name,
+                             m.hash);
+        }
+    }
+    return out;
+}
+
 std::string
-fingerprintJson(const Fingerprint &fp)
+goldenJson(const char *format, const char *table_name,
+           const GoldenTable &table)
 {
     std::ostringstream out;
     out << "{\n"
-        << "  \"format\": \"fdip-arch-fingerprint-v1\",\n"
+        << "  \"format\": \"" << format << "\",\n"
         << "  \"insts_per_trace\": " << kInstsPerTrace << ",\n"
         << "  \"warmup_fraction\": " << kWarmupFraction << ",\n"
-        << "  \"checksums\": {\n";
-    for (std::size_t i = 0; i < fp.size(); ++i) {
-        out << "    \"" << fp[i].first << "\": \"" << fp[i].second << "\""
-            << (i + 1 < fp.size() ? "," : "") << "\n";
+        << "  \"" << table_name << "\": {\n";
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        out << "    \"" << table[i].first << "\": \"" << table[i].second
+            << "\"" << (i + 1 < table.size() ? "," : "") << "\n";
     }
     out << "  }\n}\n";
     return out.str();
 }
 
-/** The "config/trace": "hex" lines of a fingerprint JSON document. */
+/** The "key/...": "hex" lines of a golden JSON document. */
 std::map<std::string, std::string>
-parseChecksums(const std::string &json)
+parseTable(const std::string &json)
 {
     std::map<std::string, std::string> out;
     std::istringstream in(json);
@@ -163,45 +210,77 @@ readFile(const std::string &path)
     return out.str();
 }
 
-TEST(ArchFingerprint, MatchesTheCommittedGolden)
+/**
+ * Fails unless @p json is byte-identical to tests/data/@p file. The
+ * failure names every moved entry (@p what: what the table pins, @p
+ * unit: what one entry is) and prints the JSON to commit; @p advice
+ * says when committing it is right.
+ */
+void
+expectMatchesGolden(const std::string &file, const GoldenTable &table,
+                    const std::string &json, const char *what,
+                    const char *unit, const char *advice)
 {
-    const std::string golden_path = std::string(FDIP_SOURCE_DIR) +
-                                    "/tests/data/" +
-                                    "arch_fingerprint.golden.json";
+    const std::string golden_path =
+        std::string(FDIP_SOURCE_DIR) + "/tests/data/" + file;
     const std::string golden = readFile(golden_path);
-    const Fingerprint fp = computeFingerprint();
-    const std::string json = fingerprintJson(fp);
     if (json == golden)
         return;
 
-    const std::map<std::string, std::string> want = parseChecksums(golden);
-    const std::map<std::string, std::string> got(fp.begin(), fp.end());
+    const std::map<std::string, std::string> want = parseTable(golden);
+    const std::map<std::string, std::string> got(table.begin(),
+                                                 table.end());
     std::ostringstream moved;
     std::size_t n_moved = 0;
-    for (const auto &[pair, hex] : got) {
-        const auto it = want.find(pair);
+    for (const auto &[key, hex] : got) {
+        const auto it = want.find(key);
         if (it == want.end() || it->second != hex) {
-            moved << "  " << pair << ": golden "
+            moved << "  " << key << ": golden "
                   << (it == want.end() ? "(none)" : it->second) << ", now "
                   << hex << "\n";
             ++n_moved;
         }
     }
-    for (const auto &[pair, hex] : want) {
-        if (got.count(pair) == 0) {
-            moved << "  " << pair << ": golden " << hex
-                  << ", now not run\n";
+    for (const auto &[key, hex] : want) {
+        if (got.count(key) == 0) {
+            moved << "  " << key << ": golden " << hex
+                  << ", now not computed\n";
             ++n_moved;
         }
     }
-    ADD_FAILURE() << "architectural fingerprint differs from "
-                  << golden_path << " ("
+    ADD_FAILURE() << golden_path << " ("
                   << (golden.empty() ? "missing or empty" : "stale")
-                  << "); " << n_moved << " (config, trace) pair(s) moved:\n"
-                  << moved.str()
-                  << "If the behaviour change is intended, commit this as "
+                  << ") does not match the " << what << "; " << n_moved
+                  << " " << unit << " moved:\n"
+                  << moved.str() << advice << ", commit this as "
                   << golden_path << ":\n"
                   << json;
+}
+
+TEST(ArchFingerprint, MatchesTheCommittedGolden)
+{
+    const GoldenTable fp = computeFingerprint();
+    expectMatchesGolden(
+        "arch_fingerprint.golden.json", fp,
+        goldenJson("fdip-arch-fingerprint-v1", "checksums", fp),
+        "architectural fingerprint", "(config, trace) pair(s)",
+        "If the behaviour change is intended");
+}
+
+/**
+ * Content addresses are the spool's cache keys: a digest that moves
+ * turns every record spooled by an earlier build into a miss. A change
+ * that means to move them bumps the "-v1" format tags the digests
+ * start from.
+ */
+TEST(ContentAddress, MatchesTheCommittedGolden)
+{
+    const GoldenTable ca = computeContentAddresses();
+    expectMatchesGolden(
+        "content_address.golden.json", ca,
+        goldenJson("fdip-content-address-v1", "digests", ca),
+        "content addresses", "digest(s)",
+        "If the format-version bump is intended");
 }
 
 } // namespace

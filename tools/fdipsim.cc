@@ -7,10 +7,13 @@
  * Run `fdipsim --help` for the full flag list.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/certify.h"
@@ -43,6 +46,9 @@ struct Options
     std::string dumpStatsPath;
     bool compareBaseline = false;
     CoreConfig cfg = paperBaselineConfig();
+
+    /** The first flag given that only configures a single run. */
+    std::string singleRunFlag;
 
     // Campaign mode (see sim/campaign_store.h).
     std::string campaign;
@@ -95,7 +101,11 @@ usage()
         "                     any manifest entry lacks a record\n"
         "  --jobs N           worker threads for --campaign (FDIP_JOBS)\n"
         "  Campaign workloads come from --workload suite|suite-small,\n"
-        "  --insts, and --warmup-frac; reports from --json/--csv.\n"
+        "  --insts, and --warmup-frac; reports from --json/--csv,\n"
+        "  --heartbeat-jsonl and --dump-stats. The preset fixes the\n"
+        "  configs, so the single-run flags (--seed, the config flags,\n"
+        "  --compare-baseline, --heartbeat, --profile, --trace) are\n"
+        "  refused; set observability through the env instead.\n"
         "\n"
         "output:\n"
         "  --compare-baseline also run the no-FDP baseline\n"
@@ -155,6 +165,16 @@ parseDirPred(const std::string &s, CoreConfig &cfg)
     }
 }
 
+/** Flags that configure the single run; a campaign runs its preset's
+ *  configs over the standard suite, so it would ignore them. */
+constexpr std::string_view kSingleRunFlags[] = {
+    "--seed", "--champsim-trace", "--ftq", "--btb", "--scheme", "--pfc",
+    "--dirpred", "--prefetcher", "--two-level-btb", "--loop-predictor",
+    "--prefetch-buffer", "--perfect-icache", "--perfect-prefetch",
+    "--perfect-btb", "--compare-baseline", "--heartbeat", "--profile",
+    "--trace",
+};
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -166,6 +186,11 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        if (opt.singleRunFlag.empty() &&
+            std::find(std::begin(kSingleRunFlags), std::end(kSingleRunFlags),
+                      a) != std::end(kSingleRunFlags)) {
+            opt.singleRunFlag = a;
+        }
         if (a == "--help" || a == "-h") {
             usage();
             std::exit(0);
@@ -389,8 +414,14 @@ int
 main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
-    if (!opt.campaign.empty() || opt.merge)
+    if (!opt.campaign.empty() || opt.merge) {
+        if (!opt.singleRunFlag.empty()) {
+            fdip_fatal("%s does not apply to --campaign, which runs its "
+                       "preset's configs",
+                       opt.singleRunFlag.c_str());
+        }
         return campaignMain(opt);
+    }
     // Only an L1I prefetcher's fills go to the buffer (the FTQ's are
     // demand fills), so without one it would stay empty.
     if (opt.cfg.usePrefetchBuffer && opt.prefetcher == "none")
