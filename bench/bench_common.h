@@ -25,6 +25,7 @@
 #include "sim/campaign_store.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
+#include "util/io.h"
 #include "util/table.h"
 
 namespace fdip::bench
@@ -43,21 +44,6 @@ inline PrefetcherFactory
 prefetcher(const std::string &name)
 {
     return [name](const Trace &) { return makePrefetcher(name); };
-}
-
-/** JSON string escaping for labels woven into bench summaries. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out.push_back(c);
-    }
-    return out;
 }
 
 /** Formats a speedup fraction as "+41.0%". */

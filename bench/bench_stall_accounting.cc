@@ -20,7 +20,7 @@
 
 #include "bench/bench_common.h"
 
-#include "core/cycle_stats.h"
+#include "core/sim_stats.h"
 
 namespace
 {

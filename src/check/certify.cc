@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "check/budget.h"
+#include "util/io.h"
 #include "util/log.h"
 
 namespace fdip
@@ -13,28 +14,6 @@ namespace fdip
 
 namespace
 {
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
-
-/** Minimal JSON string escaping (names are simple identifiers). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out.push_back(c);
-    }
-    return out;
-}
 
 /** The named configurations a certificate covers, in emission order. */
 struct NamedConfig
@@ -80,7 +59,7 @@ appendItem(std::string &out, const BudgetItem &item, bool last)
     out += log_detail::format(
         "      {\"name\": \"%s\", \"bits\": %llu, \"limit_bits\": %llu, "
         "\"verdict\": \"%s\", \"fields\": [\n",
-        escape(item.name).c_str(),
+        jsonEscape(item.name).c_str(),
         static_cast<unsigned long long>(item.bits),
         static_cast<unsigned long long>(item.limitBits),
         itemVerdict(item));
@@ -90,7 +69,7 @@ appendItem(std::string &out, const BudgetItem &item, bool last)
         out += log_detail::format(
             "        {\"field\": \"%s\", \"width_bits\": %llu, "
             "\"count\": %llu, \"bits\": %llu}%s\n",
-            escape(f.field).c_str(),
+            jsonEscape(f.field).c_str(),
             static_cast<unsigned long long>(f.widthBits),
             static_cast<unsigned long long>(f.count),
             static_cast<unsigned long long>(f.bits()),
@@ -117,7 +96,7 @@ budgetCertificateJson()
         body += log_detail::format(
             "    {\"name\": \"%s\", \"verdict\": \"%s\", "
             "\"total_bits\": %llu, \"structures\": [\n",
-            escape(nc.name).c_str(), r.ok() ? "ok" : "over",
+            jsonEscape(nc.name).c_str(), r.ok() ? "ok" : "over",
             static_cast<unsigned long long>(r.totalBits()));
         const auto &items = r.items();
         for (std::size_t i = 0; i < items.size(); ++i)

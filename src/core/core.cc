@@ -186,42 +186,24 @@ Core::run(std::uint64_t warmup_insts)
 void
 registerCoreSimStats(StatRegistry &reg, const SimStats &s)
 {
-    const auto add = [&reg, &s](const char *name,
-                                std::uint64_t SimStats::*field) {
-        reg.addCounter(std::string("core.") + name,
-                       [&s, field] { return s.*field; });
-    };
-    add("cycles", &SimStats::cycles);
-    add("committed_insts", &SimStats::committedInsts);
-    add("cond_branches", &SimStats::condBranches);
-    add("taken_branches", &SimStats::takenBranches);
-    add("indirect_branches", &SimStats::indirectBranches);
-    add("returns", &SimStats::returns);
-    add("mispredicts", &SimStats::mispredicts);
-    add("mispredicts_cond_dir", &SimStats::mispredictsCondDir);
-    add("mispredicts_btb_miss_taken", &SimStats::mispredictsBtbMissTaken);
-    add("mispredicts_target", &SimStats::mispredictsTarget);
-    add("mispredicts_pfc_misfire", &SimStats::mispredictsPfcMisfire);
-    add("pfc_fires", &SimStats::pfcFires);
-    add("pfc_correct", &SimStats::pfcCorrect);
-    add("pfc_wrong", &SimStats::pfcWrong);
-    add("ghr_fixups", &SimStats::ghrFixups);
-    add("starvation_cycles", &SimStats::starvationCycles);
-    add("delivered_insts", &SimStats::deliveredInsts);
-    add("wrong_path_delivered", &SimStats::wrongPathDelivered);
-    add("l1i_demand_accesses", &SimStats::l1iDemandAccesses);
-    add("l1i_demand_misses", &SimStats::l1iDemandMisses);
-    add("l1i_tag_accesses", &SimStats::l1iTagAccesses);
-    add("prefetches_issued", &SimStats::prefetchesIssued);
-    add("prefetches_redundant", &SimStats::prefetchesRedundant);
-    add("prefetches_useful", &SimStats::prefetchesUseful);
-    add("itlb_misses", &SimStats::itlbMisses);
-    add("miss_fully_exposed", &SimStats::missFullyExposed);
-    add("miss_partially_exposed", &SimStats::missPartiallyExposed);
-    add("miss_covered", &SimStats::missCovered);
-    add("btb_lookups", &SimStats::btbLookups);
-    add("btb_hits", &SimStats::btbHits);
-    registerCycleStats(reg, s); // core.cycles.* buckets + fractions.
+    for (const SimStatsCounter &c : kSimStatsCounters) {
+        const auto field = c.member;
+        const std::string name =
+            std::string(c.isCycleBucket() ? "core.cycles." : "core.") +
+            c.statName;
+        reg.addCounter(name, [&s, field] { return s.*field; });
+        if (!c.isCycleBucket())
+            continue;
+        // Each bucket's share of all post-warmup cycles: analysis
+        // scripts get the stacked breakdown without re-deriving the
+        // denominator (the eight fractions sum to 1 by the per-tick
+        // conservation law).
+        reg.addDerived(name + ".frac", [&s, field] {
+            return s.cycles == 0 ? 0.0
+                                 : static_cast<double>(s.*field) /
+                                       static_cast<double>(s.cycles);
+        });
+    }
 
     reg.addDerived("core.ipc", [&s] { return s.ipc(); });
     reg.addDerived("core.branch_mpki", [&s] { return s.branchMpki(); });

@@ -16,7 +16,6 @@
 #include "core/core_config.h"
 #include "core/frontend.h"
 #include "core/sim_stats.h"
-#include "core/cycle_stats.h"
 #include "obs/heartbeat.h"
 #include "obs/stat_registry.h"
 #include "obs/tick_profiler.h"

@@ -3,35 +3,31 @@
  * Per-run simulation statistics, covering every metric the paper's
  * figures report (IPC, branch MPKI, starvation cycles/KI, I-cache tag
  * accesses/KI, exposed/covered miss classification, PFC and fixup
- * event counts).
+ * event counts), and kSimStatsCounters, the one table that names each
+ * counter for equality, the spool checksum and records, and the
+ * `core.*` stats.
  */
 
 #ifndef FDIP_CORE_SIM_STATS_H_
 #define FDIP_CORE_SIM_STATS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <tuple>
-#include <utility>
+#include <iterator>
 
+#include "obs/cycle_account.h"
 #include "util/hotpath.h"
 #include "util/state.h"
 
 namespace fdip
 {
 
-/** Statistics for one simulation run (collected post-warmup). */
+/** Statistics for one simulation run (collected post-warmup). Every
+ *  uint64_t member is an architectural counter and has one row in
+ *  kSimStatsCounters below. */
 struct SimStats
 {
-    /**
-     * Number of architectural (determinism-relevant) counters. This is
-     * the documented arity of architecturalState(): the static
-     * assertions below force anyone adding a counter to update the
-     * tuple, this constant, and (by reading this comment) the parallel
-     * determinism contract together.
-     */
-    static constexpr std::size_t kArchitecturalCounters = 38;
-
     /// @{ Progress.
     FDIP_STATE_MICRO std::uint64_t cycles = 0;
     FDIP_STATE_MICRO std::uint64_t committedInsts = 0;
@@ -119,38 +115,13 @@ struct SimStats
     }
     /// @}
 
-    /** Every architectural counter, as one comparable/hashable tuple.
-     *  Keep in sync when adding counters; host telemetry stays out. */
-    [[nodiscard]] auto
-    architecturalState() const
-    {
-        return std::tie(cycles, committedInsts, condBranches, takenBranches,
-                        indirectBranches, returns, mispredicts,
-                        mispredictsCondDir, mispredictsBtbMissTaken,
-                        mispredictsTarget, mispredictsPfcMisfire, pfcFires,
-                        pfcCorrect, pfcWrong, ghrFixups, starvationCycles,
-                        deliveredInsts, wrongPathDelivered, l1iDemandAccesses,
-                        l1iDemandMisses, l1iTagAccesses, prefetchesIssued,
-                        prefetchesRedundant, prefetchesUseful, itlbMisses,
-                        missFullyExposed, missPartiallyExposed, missCovered,
-                        btbLookups, btbHits, cyclesBaseCommitted,
-                        cyclesBackendBackpressure, cyclesRecoveryFlushRestart,
-                        cyclesFetchL1iMiss, cyclesFetchItlbMiss,
-                        cyclesFetchFtqEmptyBtbMiss, cyclesFetchFtqEmptyRedirect,
-                        cyclesFetchPipeline);
-    }
-
     /**
      * True when every architectural counter matches @p o bit for bit.
      * This is the determinism contract the parallel experiment engine
      * is tested against: serial and parallel execution must agree here
      * exactly, not approximately.
      */
-    [[nodiscard]] bool
-    architecturallyEqual(const SimStats &o) const
-    {
-        return architecturalState() == o.architecturalState();
-    }
+    [[nodiscard]] bool architecturallyEqual(const SimStats &o) const;
 
     /// @{ Derived metrics.
     [[nodiscard]] double
@@ -257,18 +228,134 @@ struct SimStats
     /// @}
 };
 
-static_assert(
-    std::tuple_size_v<decltype(std::declval<const SimStats &>()
-                                   .architecturalState())> ==
-        SimStats::kArchitecturalCounters,
-    "architecturalState() and kArchitecturalCounters disagree: a counter "
-    "was added to one but not the other");
+/**
+ * One architectural counter: its member, its key in a spool record's
+ * "stats" object, and its stat-registry name. A cycle bucket's name is
+ * its kCycleBucketName leaf under `core.cycles.`; every other
+ * counter's is statName under `core.`.
+ */
+struct SimStatsCounter
+{
+    constexpr SimStatsCounter(std::uint64_t SimStats::*m, const char *key,
+                              const char *stat)
+        : member(m), recordKey(key), statName(stat)
+    {
+    }
 
-static_assert(sizeof(SimStats) == SimStats::kArchitecturalCounters *
-                                          sizeof(std::uint64_t) +
-                                      sizeof(double),
-              "SimStats layout changed: update kArchitecturalCounters, "
-              "architecturalState(), and this assertion together");
+    constexpr SimStatsCounter(std::uint64_t SimStats::*m, const char *key,
+                              CycleBucket b)
+        : member(m), recordKey(key),
+          statName(kCycleBucketName[static_cast<std::size_t>(b)]),
+          bucket(static_cast<std::size_t>(b))
+    {
+    }
+
+    [[nodiscard]] constexpr bool
+    isCycleBucket() const
+    {
+        return bucket < kCycleBucketCount;
+    }
+
+    std::uint64_t SimStats::*member;
+    const char *recordKey;
+    const char *statName;
+    std::size_t bucket = kCycleBucketCount; ///< CycleBucket, if one.
+};
+
+/** Every architectural counter, in record and checksum order. Host
+ *  telemetry stays out. */
+inline constexpr SimStatsCounter kSimStatsCounters[] = {
+    {&SimStats::cycles, "cycles", "cycles"},
+    {&SimStats::committedInsts, "committedInsts", "committed_insts"},
+    {&SimStats::condBranches, "condBranches", "cond_branches"},
+    {&SimStats::takenBranches, "takenBranches", "taken_branches"},
+    {&SimStats::indirectBranches, "indirectBranches", "indirect_branches"},
+    {&SimStats::returns, "returns", "returns"},
+    {&SimStats::mispredicts, "mispredicts", "mispredicts"},
+    {&SimStats::mispredictsCondDir, "mispredictsCondDir", "mispredicts_cond_dir"},
+    {&SimStats::mispredictsBtbMissTaken, "mispredictsBtbMissTaken", "mispredicts_btb_miss_taken"},
+    {&SimStats::mispredictsTarget, "mispredictsTarget", "mispredicts_target"},
+    {&SimStats::mispredictsPfcMisfire, "mispredictsPfcMisfire", "mispredicts_pfc_misfire"},
+    {&SimStats::pfcFires, "pfcFires", "pfc_fires"},
+    {&SimStats::pfcCorrect, "pfcCorrect", "pfc_correct"},
+    {&SimStats::pfcWrong, "pfcWrong", "pfc_wrong"},
+    {&SimStats::ghrFixups, "ghrFixups", "ghr_fixups"},
+    {&SimStats::starvationCycles, "starvationCycles", "starvation_cycles"},
+    {&SimStats::deliveredInsts, "deliveredInsts", "delivered_insts"},
+    {&SimStats::wrongPathDelivered, "wrongPathDelivered", "wrong_path_delivered"},
+    {&SimStats::l1iDemandAccesses, "l1iDemandAccesses", "l1i_demand_accesses"},
+    {&SimStats::l1iDemandMisses, "l1iDemandMisses", "l1i_demand_misses"},
+    {&SimStats::l1iTagAccesses, "l1iTagAccesses", "l1i_tag_accesses"},
+    {&SimStats::prefetchesIssued, "prefetchesIssued", "prefetches_issued"},
+    {&SimStats::prefetchesRedundant, "prefetchesRedundant", "prefetches_redundant"},
+    {&SimStats::prefetchesUseful, "prefetchesUseful", "prefetches_useful"},
+    {&SimStats::itlbMisses, "itlbMisses", "itlb_misses"},
+    {&SimStats::missFullyExposed, "missFullyExposed", "miss_fully_exposed"},
+    {&SimStats::missPartiallyExposed, "missPartiallyExposed", "miss_partially_exposed"},
+    {&SimStats::missCovered, "missCovered", "miss_covered"},
+    {&SimStats::btbLookups, "btbLookups", "btb_lookups"},
+    {&SimStats::btbHits, "btbHits", "btb_hits"},
+    {&SimStats::cyclesBaseCommitted, "cyclesBaseCommitted", CycleBucket::kBaseCommitted},
+    {&SimStats::cyclesBackendBackpressure, "cyclesBackendBackpressure", CycleBucket::kBackendBackpressure},
+    {&SimStats::cyclesRecoveryFlushRestart, "cyclesRecoveryFlushRestart", CycleBucket::kRecoveryFlushRestart},
+    {&SimStats::cyclesFetchL1iMiss, "cyclesFetchL1iMiss", CycleBucket::kFetchL1iMiss},
+    {&SimStats::cyclesFetchItlbMiss, "cyclesFetchItlbMiss", CycleBucket::kFetchItlbMiss},
+    {&SimStats::cyclesFetchFtqEmptyBtbMiss, "cyclesFetchFtqEmptyBtbMiss", CycleBucket::kFetchFtqEmptyBtbMiss},
+    {&SimStats::cyclesFetchFtqEmptyRedirect, "cyclesFetchFtqEmptyRedirect", CycleBucket::kFetchFtqEmptyRedirect},
+    {&SimStats::cyclesFetchPipeline, "cyclesFetchPipeline", CycleBucket::kFetchPipeline},
+};
+
+/** True when no two rows of kSimStatsCounters name the same member. */
+constexpr bool
+simStatsCountersDistinct()
+{
+    for (std::size_t i = 0; i < std::size(kSimStatsCounters); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (kSimStatsCounters[i].member == kSimStatsCounters[j].member)
+                return false;
+    return true;
+}
+
+static_assert(simStatsCountersDistinct() &&
+                  std::size(kSimStatsCounters) * sizeof(std::uint64_t) +
+                          sizeof(double) ==
+                      sizeof(SimStats),
+              "kSimStatsCounters must name every SimStats counter "
+              "exactly once");
+
+inline bool
+SimStats::architecturallyEqual(const SimStats &o) const
+{
+    for (const SimStatsCounter &c : kSimStatsCounters)
+        if (this->*c.member != o.*c.member)
+            return false;
+    return true;
+}
+
+/** Bucket -> SimStats field, in CycleBucket order: the table's bucket
+ *  rows. */
+inline constexpr std::array<std::uint64_t SimStats::*, kCycleBucketCount>
+    kCycleBucketField = [] {
+        std::array<std::uint64_t SimStats::*, kCycleBucketCount> out{};
+        for (const SimStatsCounter &c : kSimStatsCounters)
+            if (c.isCycleBucket())
+                out[c.bucket] = c.member;
+        return out;
+    }();
+
+/** Charges one cycle to @p bucket. Hot path: one indexed increment. */
+FDIP_HOT_PATH inline void
+chargeCycle(SimStats &s, CycleBucket bucket) noexcept
+{
+    ++(s.*kCycleBucketField[static_cast<std::size_t>(bucket)]);
+}
+
+/** Value of @p bucket's counter in @p s. */
+[[nodiscard]] inline std::uint64_t
+cycleBucket(const SimStats &s, CycleBucket bucket) noexcept
+{
+    return s.*kCycleBucketField[static_cast<std::size_t>(bucket)];
+}
 
 } // namespace fdip
 

@@ -39,10 +39,10 @@
  *
  * This header is the core-type-free half of the accounting: the
  * bucket taxonomy, the classifier, and the leaf names. The SimStats
- * field binding (which counter each bucket charges, the hot-path
- * increment, the `core.cycles.*` registration) lives in
- * core/cycle_stats.h so that obs — which sits below core in the
- * module layering — never includes upward.
+ * field binding (which counter each bucket charges and the hot-path
+ * increment) lives in core/sim_stats.h, the `core.cycles.*`
+ * registration in core/core.cc, so that obs — which sits below core
+ * in the module layering — never includes upward.
  */
 
 #ifndef FDIP_OBS_CYCLE_ACCOUNT_H_

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/hotpath.h"
+#include "util/io.h"
 #include "util/log.h"
 
 namespace fdip
@@ -244,16 +245,6 @@ StatRegistry::snapshot() const
     return out;
 }
 
-namespace
-{
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-} // namespace
-
 void
 StatRegistry::writeJson(std::FILE *f) const
 {
@@ -275,8 +266,7 @@ StatRegistry::writeJson(std::FILE *f) const
 bool
 StatRegistry::writeJson(const std::string &path) const
 {
-    std::unique_ptr<std::FILE, FileCloser> f(
-        std::fopen(path.c_str(), "w"));
+    FileHandle f(std::fopen(path.c_str(), "w"));
     if (!f)
         return false;
     writeJson(f.get());

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "util/hotpath.h"
+#include "util/io.h"
 
 /**
  * FDIP_ENABLE_TRACING is normally injected by the build system (the
@@ -102,17 +103,12 @@ class TraceWriter
     void threadName(unsigned tid, const char *name);
 
   private:
-    struct FileCloser
-    {
-        void operator()(std::FILE *f) const { std::fclose(f); }
-    };
-
     void emit(char ph, const char *name, const char *category,
               unsigned tid, std::uint64_t ts_cycles, bool with_id,
               std::uint64_t id, std::initializer_list<Arg> args);
 
     std::string path_;
-    std::unique_ptr<std::FILE, FileCloser> file_;
+    FileHandle file_;
     std::uint64_t events_ = 0;
     bool first_ = true;
 };

@@ -11,6 +11,7 @@
 
 #include "util/atomic_file.h"
 #include "util/fnv.h"
+#include "util/io.h"
 #include "util/log.h"
 #include "util/sync.h"
 
@@ -19,79 +20,6 @@ namespace fdip
 
 namespace
 {
-
-/**
- * Name and accessor of one architectural counter. The table is the
- * single source of truth for record serialization, parsing, and the
- * checksum: field order here is architecturalState() order, and the
- * static_assert below forces this table to grow with SimStats.
- */
-struct CounterField
-{
-    const char *name;
-    std::uint64_t SimStats::*member;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"cycles", &SimStats::cycles},
-    {"committedInsts", &SimStats::committedInsts},
-    {"condBranches", &SimStats::condBranches},
-    {"takenBranches", &SimStats::takenBranches},
-    {"indirectBranches", &SimStats::indirectBranches},
-    {"returns", &SimStats::returns},
-    {"mispredicts", &SimStats::mispredicts},
-    {"mispredictsCondDir", &SimStats::mispredictsCondDir},
-    {"mispredictsBtbMissTaken", &SimStats::mispredictsBtbMissTaken},
-    {"mispredictsTarget", &SimStats::mispredictsTarget},
-    {"mispredictsPfcMisfire", &SimStats::mispredictsPfcMisfire},
-    {"pfcFires", &SimStats::pfcFires},
-    {"pfcCorrect", &SimStats::pfcCorrect},
-    {"pfcWrong", &SimStats::pfcWrong},
-    {"ghrFixups", &SimStats::ghrFixups},
-    {"starvationCycles", &SimStats::starvationCycles},
-    {"deliveredInsts", &SimStats::deliveredInsts},
-    {"wrongPathDelivered", &SimStats::wrongPathDelivered},
-    {"l1iDemandAccesses", &SimStats::l1iDemandAccesses},
-    {"l1iDemandMisses", &SimStats::l1iDemandMisses},
-    {"l1iTagAccesses", &SimStats::l1iTagAccesses},
-    {"prefetchesIssued", &SimStats::prefetchesIssued},
-    {"prefetchesRedundant", &SimStats::prefetchesRedundant},
-    {"prefetchesUseful", &SimStats::prefetchesUseful},
-    {"itlbMisses", &SimStats::itlbMisses},
-    {"missFullyExposed", &SimStats::missFullyExposed},
-    {"missPartiallyExposed", &SimStats::missPartiallyExposed},
-    {"missCovered", &SimStats::missCovered},
-    {"btbLookups", &SimStats::btbLookups},
-    {"btbHits", &SimStats::btbHits},
-    {"cyclesBaseCommitted", &SimStats::cyclesBaseCommitted},
-    {"cyclesBackendBackpressure", &SimStats::cyclesBackendBackpressure},
-    {"cyclesRecoveryFlushRestart", &SimStats::cyclesRecoveryFlushRestart},
-    {"cyclesFetchL1iMiss", &SimStats::cyclesFetchL1iMiss},
-    {"cyclesFetchItlbMiss", &SimStats::cyclesFetchItlbMiss},
-    {"cyclesFetchFtqEmptyBtbMiss", &SimStats::cyclesFetchFtqEmptyBtbMiss},
-    {"cyclesFetchFtqEmptyRedirect", &SimStats::cyclesFetchFtqEmptyRedirect},
-    {"cyclesFetchPipeline", &SimStats::cyclesFetchPipeline},
-};
-
-static_assert(sizeof(kCounterFields) / sizeof(kCounterFields[0]) ==
-                  SimStats::kArchitecturalCounters,
-              "kCounterFields and SimStats::architecturalState() "
-              "disagree: a counter was added to one but not the other");
-
-/** Minimal JSON string escaping (identifiers and workload names). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out.push_back(c);
-    }
-    return out;
-}
 
 /**
  * Sequential reader over one record line. The spool reads only what
@@ -339,8 +267,8 @@ std::uint64_t
 architecturalChecksum(const SimStats &stats)
 {
     std::uint64_t h = fnv1a64("fdip-arch-v1\n");
-    for (const CounterField &f : kCounterFields)
-        h = fnv1aMix(stats.*f.member, h);
+    for (const SimStatsCounter &c : kSimStatsCounters)
+        h = fnv1aMix(stats.*c.member, h);
     return h;
 }
 
@@ -349,11 +277,11 @@ campaignRecordJson(const CampaignRecord &record)
 {
     std::string out = "{\"fdipCampaignRecord\": " +
                       std::to_string(kCampaignRecordVersion);
-    out += ", \"hash\": \"" + escape(record.hash) + "\"";
-    out += ", \"label\": \"" + escape(record.label) + "\"";
-    out += ", \"workload\": \"" + escape(record.workload) + "\"";
-    out += ", \"prefetcher\": \"" + escape(record.prefetcher) + "\"";
-    out += ", \"configDigest\": \"" + escape(record.configDigestHex) +
+    out += ", \"hash\": \"" + jsonEscape(record.hash) + "\"";
+    out += ", \"label\": \"" + jsonEscape(record.label) + "\"";
+    out += ", \"workload\": \"" + jsonEscape(record.workload) + "\"";
+    out += ", \"prefetcher\": \"" + jsonEscape(record.prefetcher) + "\"";
+    out += ", \"configDigest\": \"" + jsonEscape(record.configDigestHex) +
            "\"";
     char wall[64];
     std::snprintf(wall, sizeof(wall), "%.9g",
@@ -363,12 +291,12 @@ campaignRecordJson(const CampaignRecord &record)
            toHex16(architecturalChecksum(record.stats)) + "\"";
     out += ", \"stats\": {";
     bool first = true;
-    for (const CounterField &f : kCounterFields) {
+    for (const SimStatsCounter &c : kSimStatsCounters) {
         if (!first)
             out += ", ";
         first = false;
-        out += std::string("\"") + f.name +
-               "\": " + std::to_string(record.stats.*f.member);
+        out += std::string("\"") + c.recordKey +
+               "\": " + std::to_string(record.stats.*c.member);
     }
     out += "}}\n";
     return out;
@@ -409,11 +337,12 @@ parseCampaignRecord(const std::string &line, CampaignRecord *record,
     if (!header_ok)
         return failWith("malformed record: " + r.error());
 
-    for (std::size_t i = 0; i < SimStats::kArchitecturalCounters; ++i) {
-        if (i > 0 && !r.lit(','))
+    bool first = true;
+    for (const SimStatsCounter &c : kSimStatsCounters) {
+        if (!first && !r.lit(','))
             return failWith("truncated counters: " + r.error());
-        if (!r.key(kCounterFields[i].name) ||
-            !r.u64(&(rec.stats.*kCounterFields[i].member)))
+        first = false;
+        if (!r.key(c.recordKey) || !r.u64(&(rec.stats.*c.member)))
             return failWith("malformed counter: " + r.error());
     }
     if (!(r.lit('}') && r.lit('}') && r.atEnd()))

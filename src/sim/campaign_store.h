@@ -70,9 +70,9 @@ struct CampaignRecord
     SimStats stats;         ///< All architectural counters + host time.
 };
 
-/** FNV-1a checksum over the 38 architectural counters, in
- *  architecturalState() order. Host telemetry is excluded: the
- *  checksum certifies the *experiment result*, not the machine. */
+/** FNV-1a checksum over the architectural counters, in
+ *  kSimStatsCounters order. Host telemetry is excluded: the checksum
+ *  certifies the *experiment result*, not the machine. */
 std::uint64_t architecturalChecksum(const SimStats &stats);
 
 /** Serializes @p record as one JSON line (newline-terminated). */

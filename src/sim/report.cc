@@ -4,36 +4,14 @@
 #include <memory>
 
 #include "core/core.h"
-#include "core/cycle_stats.h"
 #include "obs/heartbeat.h"
+#include "util/io.h"
 
 namespace fdip
 {
 
 namespace
 {
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
-
-/** Minimal JSON string escaping (labels are simple identifiers). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out.push_back(c);
-    }
-    return out;
-}
 
 /**
  * Fallback stat dump for runs that carry only SimStats (campaign
@@ -66,7 +44,7 @@ writeSuiteResultsJson(const std::string &path,
         std::fprintf(f.get(),
                      "    {\"label\": \"%s\", \"geomeanIpc\": %.6f, "
                      "\"meanMpki\": %.4f, \"runs\": [\n",
-                     escape(r.label).c_str(), r.geomeanIpc(),
+                     jsonEscape(r.label).c_str(), r.geomeanIpc(),
                      r.meanMpki());
         for (std::size_t j = 0; j < r.runs.size(); ++j) {
             const RunResult &run = r.runs[j];
@@ -77,7 +55,7 @@ writeSuiteResultsJson(const std::string &path,
                 "\"mpki\": %.4f, \"starvationPerKi\": %.3f, "
                 "\"tagAccessesPerKi\": %.3f, \"l1iMpki\": %.4f, "
                 "\"pfcFires\": %llu, \"ghrFixups\": %llu",
-                escape(run.workload).c_str(), s.ipc(), s.branchMpki(),
+                jsonEscape(run.workload).c_str(), s.ipc(), s.branchMpki(),
                 s.starvationPerKi(), s.tagAccessesPerKi(), s.l1iMpki(),
                 static_cast<unsigned long long>(s.pfcFires),
                 static_cast<unsigned long long>(s.ghrFixups));
@@ -168,8 +146,8 @@ writeHeartbeatsJsonl(const std::string &path,
                 std::fprintf(f.get(),
                              "{\"label\": \"%s\", \"workload\": \"%s\", "
                              "\"heartbeat\": %s}\n",
-                             escape(r.label).c_str(),
-                             escape(run.workload).c_str(), hb.c_str());
+                             jsonEscape(r.label).c_str(),
+                             jsonEscape(run.workload).c_str(), hb.c_str());
             }
         }
     }
@@ -190,8 +168,8 @@ writeStatDumpsJson(const std::string &path,
             std::fprintf(f.get(),
                          "%s    {\"label\": \"%s\", \"workload\": "
                          "\"%s\", \"stats\": {",
-                         first_run ? "" : ",\n", escape(r.label).c_str(),
-                         escape(run.workload).c_str());
+                         first_run ? "" : ",\n", jsonEscape(r.label).c_str(),
+                         jsonEscape(run.workload).c_str());
             first_run = false;
             std::vector<StatSample> synth;
             if (run.statDump.empty())
@@ -203,13 +181,13 @@ writeStatDumpsJson(const std::string &path,
                 if (s.kind == StatKind::kCounter)
                     std::fprintf(f.get(), "%s\"%s\": %llu",
                                  i == 0 ? "" : ", ",
-                                 escape(s.name).c_str(),
+                                 jsonEscape(s.name).c_str(),
                                  static_cast<unsigned long long>(
                                      s.intValue));
                 else
                     std::fprintf(f.get(), "%s\"%s\": %.6f",
                                  i == 0 ? "" : ", ",
-                                 escape(s.name).c_str(), s.value);
+                                 jsonEscape(s.name).c_str(), s.value);
             }
             std::fprintf(f.get(), "}}");
         }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "util/io.h"
 #include "util/log.h"
 
 namespace fdip
@@ -13,13 +14,6 @@ namespace fdip
 
 namespace
 {
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
 
 bool
 regIn(const std::uint8_t *regs, std::size_t n, std::uint8_t reg)

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <memory>
 
+#include "util/io.h"
+
 namespace fdip
 {
 
@@ -17,13 +19,6 @@ struct FileHeader
     std::uint64_t magic;
     std::uint64_t count;
 };
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
 
 } // namespace
 

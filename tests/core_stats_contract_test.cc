@@ -1,17 +1,15 @@
 /** @file
- * Contract tests for SimStats: the documented architectural-counter
- * arity must match the std::tie tuple that determinism comparisons,
- * per-field registration, and the heartbeat deltas are all built on.
- * Adding a counter without updating kArchitecturalCounters (and the
- * registration/comparison sites) fails here at compile time.
+ * Contract tests for SimStats: every row of kSimStatsCounters reaches
+ * every consumer built on the table (equality, the spool checksum and
+ * record, the `core.*` stats), and stat registration cannot mutate
+ * simulated state.
  */
 
 #include "core/sim_stats.h"
 
+#include <iterator>
 #include <string>
-#include <tuple>
 #include <type_traits>
-#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +24,7 @@
 #include "core/ftq.h"
 #include "obs/stat_registry.h"
 #include "prefetch/prefetcher.h"
+#include "sim/campaign_store.h"
 
 namespace fdip
 {
@@ -64,35 +63,49 @@ static_assert(
                         StatRegistry &>,
     "Core::registerStats must be const");
 
-using ArchTuple =
-    decltype(std::declval<const SimStats &>().architecturalState());
-
-static_assert(std::tuple_size_v<ArchTuple> ==
-                  SimStats::kArchitecturalCounters,
-              "architecturalState() arity != kArchitecturalCounters");
-
-// Every element of the tuple is a uint64 counter reference — no field
-// can silently join as a different type and break bitwise comparison.
-static_assert(
-    std::is_same_v<std::tuple_element_t<0, ArchTuple>,
-                   const std::uint64_t &>,
-    "architecturalState() must expose const uint64 references");
-static_assert(
-    std::is_same_v<
-        std::tuple_element_t<SimStats::kArchitecturalCounters - 1,
-                             ArchTuple>,
-        const std::uint64_t &>,
-    "architecturalState() must expose const uint64 references");
-
-TEST(SimStatsContract, ArityMatchesDocumentedConstant)
+// Row k addresses the k-th counter member, and a SimStats that differs
+// from a baseline only in that member must compare unequal, checksum
+// differently, round-trip through a spool record with that value, and
+// read it back from the registry under the row's `core.*` name.
+TEST(SimStatsContract, EveryCounterRowReachesEveryConsumer)
 {
-    EXPECT_EQ(std::tuple_size_v<ArchTuple>,
-              SimStats::kArchitecturalCounters);
-    // The struct is exactly the counters plus host wall-clock; a new
-    // field that isn't wired into architecturalState() changes this.
-    EXPECT_EQ(sizeof(SimStats),
-              SimStats::kArchitecturalCounters * sizeof(std::uint64_t) +
-                  sizeof(double));
+    SimStats base;
+    for (std::size_t k = 0; k < std::size(kSimStatsCounters); ++k)
+        base.*kSimStatsCounters[k].member = 1000 + k;
+    constexpr std::uint64_t kMoved = 7;
+
+    for (std::size_t k = 0; k < std::size(kSimStatsCounters); ++k) {
+        const SimStatsCounter &c = kSimStatsCounters[k];
+        SCOPED_TRACE(c.recordKey);
+        // Table order is declaration order: two rows with swapped
+        // members would swap record keys and stat names.
+        EXPECT_EQ(static_cast<std::size_t>(
+                      reinterpret_cast<const char *>(&(base.*c.member)) -
+                      reinterpret_cast<const char *>(&base)),
+                  k * sizeof(std::uint64_t));
+        SimStats s = base;
+        s.*c.member = kMoved;
+        EXPECT_FALSE(s.architecturallyEqual(base));
+        EXPECT_NE(architecturalChecksum(s), architecturalChecksum(base));
+
+        CampaignRecord record;
+        record.hash = "0123456789abcdef";
+        record.stats = s;
+        CampaignRecord parsed;
+        std::string error;
+        ASSERT_TRUE(
+            parseCampaignRecord(campaignRecordJson(record), &parsed, &error))
+            << error;
+        EXPECT_EQ(parsed.stats.*c.member, kMoved);
+        EXPECT_TRUE(parsed.stats.architecturallyEqual(s));
+
+        StatRegistry reg;
+        registerCoreSimStats(reg, s);
+        const std::string name =
+            std::string(c.isCycleBucket() ? "core.cycles." : "core.") +
+            c.statName;
+        EXPECT_EQ(reg.counterValue(name), kMoved) << name;
+    }
 }
 
 TEST(SimStatsContract, EqualityTracksEveryCounter)

@@ -17,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/core.h"
-#include "core/cycle_stats.h"
+#include "core/sim_stats.h"
 #include "obs/stat_registry.h"
 #include "prefetch/factory.h"
 #include "trace/suite.h"

@@ -17,20 +17,29 @@
  * prefetchers manifest hashes over them. A speed change to the
  * digests must leave them passing, or every spooled record misses.
  *
+ * And it pins the counters' external names against
+ * tests/data/counter_names.golden.json: the spool record line and the
+ * `core.*` stat names, each with the counter value it carries.
+ *
  * A deliberate change replaces a golden with the JSON its test prints
  * on a mismatch, and says why in the commit.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/core.h"
 #include "core/core_config.h"
+#include "obs/stat_registry.h"
 #include "prefetch/factory.h"
 #include "sim/campaign_presets.h"
 #include "sim/campaign_store.h"
@@ -201,6 +210,93 @@ parseTable(const std::string &json)
     return out;
 }
 
+/**
+ * The names a spool record and a stats dump give the counters, for a
+ * SimStats whose k-th counter holds k + 1. Returns one entry per
+ * `"key": value` pair of the campaignRecordJson line (stored in
+ * @p record_line) and per stat registerCoreSimStats registers, so a
+ * renamed key, a moved value or a reordered checksum each name the
+ * entry they move.
+ */
+GoldenTable
+computeCounterNames(std::string *record_line)
+{
+    // The counters are SimStats' members before hostWallSeconds, in
+    // table order, and SimStats is trivially copyable, so they can be
+    // set as one block.
+    static_assert(std::is_trivially_copyable_v<SimStats>);
+    std::uint64_t counters[offsetof(SimStats, hostWallSeconds) /
+                           sizeof(std::uint64_t)];
+    for (std::size_t k = 0; k < std::size(counters); ++k)
+        counters[k] = k + 1;
+    CampaignRecord record;
+    std::memcpy(static_cast<void *>(&record.stats), counters,
+                sizeof(counters));
+    record.stats.hostWallSeconds = 1.5;
+    record.hash = "0123456789abcdef";
+    record.label = "names";
+    record.workload = "srv-a";
+    record.prefetcher = "eip-128";
+    record.configDigestHex = "fedcba9876543210";
+    *record_line = campaignRecordJson(record);
+
+    // The line's `"key": value` pairs; "stats" opens the nested object.
+    GoldenTable out;
+    const std::string &line = *record_line;
+    for (std::size_t k0 = line.find('"'); k0 != std::string::npos;) {
+        const std::size_t k1 = line.find("\": ", k0 + 1);
+        std::size_t v0 = k1 + 3;
+        if (line[v0] == '{') {
+            k0 = line.find('"', v0);
+            continue;
+        }
+        const bool quoted = line[v0] == '"';
+        v0 += quoted ? 1 : 0;
+        const std::size_t v1 =
+            quoted ? line.find('"', v0) : line.find_first_of(",}", v0);
+        out.emplace_back("record/" + line.substr(k0 + 1, k1 - k0 - 1),
+                         line.substr(v0, v1 - v0));
+        k0 = line.find('"', v1 + 1);
+    }
+
+    StatRegistry reg;
+    registerCoreSimStats(reg, record.stats);
+    for (const StatSample &s : reg.snapshot()) {
+        char value[32];
+        if (s.kind == StatKind::kCounter)
+            std::snprintf(value, sizeof(value), "%llu",
+                          static_cast<unsigned long long>(s.intValue));
+        else
+            std::snprintf(value, sizeof(value), "%.17g", s.value);
+        out.emplace_back("stat/" + s.name, value);
+    }
+    return out;
+}
+
+/** The counter-names golden: the record line, JSON-escaped, then the
+ *  entry table. */
+std::string
+counterNamesJson(const std::string &record_line, const GoldenTable &table)
+{
+    std::string escaped;
+    for (char c : record_line.substr(0, record_line.find('\n'))) {
+        if (c == '"' || c == '\\')
+            escaped.push_back('\\');
+        escaped.push_back(c);
+    }
+    std::ostringstream out;
+    out << "{\n"
+        << "  \"format\": \"fdip-counter-names-v1\",\n"
+        << "  \"record\": \"" << escaped << "\",\n"
+        << "  \"names\": {\n";
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        out << "    \"" << table[i].first << "\": \"" << table[i].second
+            << "\"" << (i + 1 < table.size() ? "," : "") << "\n";
+    }
+    out << "  }\n}\n";
+    return out.str();
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -281,6 +377,21 @@ TEST(ContentAddress, MatchesTheCommittedGolden)
         goldenJson("fdip-content-address-v1", "digests", ca),
         "content addresses", "digest(s)",
         "If the format-version bump is intended");
+}
+
+/**
+ * Record keys and `core.*` stat names are read by every spool and
+ * every analysis script: a counter renamed or moved here strands them.
+ */
+TEST(CounterNames, MatchTheCommittedGolden)
+{
+    std::string record_line;
+    const GoldenTable names = computeCounterNames(&record_line);
+    expectMatchesGolden("counter_names.golden.json", names,
+                        counterNamesJson(record_line, names),
+                        "counter names", "name(s)",
+                        "If the rename is intended and the spool record "
+                        "version is bumped");
 }
 
 } // namespace

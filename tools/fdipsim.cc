@@ -8,12 +8,17 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "check/certify.h"
@@ -49,6 +54,8 @@ struct Options
 
     /** The first flag given that only configures a single run. */
     std::string singleRunFlag;
+    /** The first flag given that only configures a campaign. */
+    std::string campaignFlag;
 
     // Campaign mode (see sim/campaign_store.h).
     std::string campaign;
@@ -106,6 +113,8 @@ usage()
         "  configs, so the single-run flags (--seed, the config flags,\n"
         "  --compare-baseline, --heartbeat, --profile, --trace) are\n"
         "  refused; set observability through the env instead.\n"
+        "  Without --campaign or --merge, --spool, --resume and --jobs\n"
+        "  are refused.\n"
         "\n"
         "output:\n"
         "  --compare-baseline also run the no-FDP baseline\n"
@@ -175,6 +184,47 @@ constexpr std::string_view kSingleRunFlags[] = {
     "--trace",
 };
 
+/** Flags that configure a campaign's drain; a single run would
+ *  ignore them. */
+constexpr std::string_view kCampaignFlags[] = {"--spool", "--jobs",
+                                               "--resume"};
+
+/**
+ * The value of numeric flag @p flag. The whole of @p text must be one
+ * unsigned decimal number, with no sign or space, in [lo, hi] for an
+ * integer flag or in [lo, hi) for a fractional one; anything else is
+ * refused with one line, exit 1.
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const char *text, T lo,
+            T hi = std::numeric_limits<T>::max())
+{
+    const bool unsigned_token =
+        std::isdigit(static_cast<unsigned char>(text[0])) != 0 ||
+        (std::is_floating_point_v<T> && text[0] == '.');
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double v = std::strtod(text, &end);
+        if (!unsigned_token || *end != '\0' || errno != 0 || !(v >= lo) ||
+            !(v < hi)) {
+            fdip_fatal("%s wants a number in [%g, %g), not '%s'",
+                       flag.c_str(), lo, hi, text);
+        }
+        return v;
+    } else {
+        const unsigned long long v = std::strtoull(text, &end, 10);
+        if (!unsigned_token || *end != '\0' || errno != 0 || v < lo ||
+            v > hi) {
+            fdip_fatal("%s wants an integer in [%llu, %llu], not '%s'",
+                       flag.c_str(), static_cast<unsigned long long>(lo),
+                       static_cast<unsigned long long>(hi), text);
+        }
+        return static_cast<T>(v);
+    }
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -184,13 +234,18 @@ parseArgs(int argc, char **argv)
             fdip_fatal("flag %s needs a value", argv[i]);
         return argv[++i];
     };
+    // Keeps the first flag of @p flags given, for main's mode checks.
+    const auto note = [](const std::string &a, const auto &flags,
+                         std::string &first) {
+        if (first.empty() && std::find(std::begin(flags), std::end(flags),
+                                       a) != std::end(flags)) {
+            first = a;
+        }
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (opt.singleRunFlag.empty() &&
-            std::find(std::begin(kSingleRunFlags), std::end(kSingleRunFlags),
-                      a) != std::end(kSingleRunFlags)) {
-            opt.singleRunFlag = a;
-        }
+        note(a, kSingleRunFlags, opt.singleRunFlag);
+        note(a, kCampaignFlags, opt.campaignFlag);
         if (a == "--help" || a == "-h") {
             usage();
             std::exit(0);
@@ -202,19 +257,18 @@ parseArgs(int argc, char **argv)
         } else if (a == "--workload") {
             opt.workload = need(i);
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i), nullptr, 10);
+            opt.seed = parseNumber<std::uint64_t>(a, need(i), 0);
         } else if (a == "--insts") {
-            opt.insts = std::strtoull(need(i), nullptr, 10);
+            opt.insts = parseNumber<std::size_t>(a, need(i), 1);
         } else if (a == "--warmup-frac") {
-            opt.warmupFrac = std::atof(need(i));
+            opt.warmupFrac = parseNumber(a, need(i), 0.0, 1.0);
         } else if (a == "--champsim-trace") {
             opt.champsimTrace = need(i);
         } else if (a == "--ftq") {
-            opt.cfg.ftqEntries =
-                static_cast<unsigned>(std::atoi(need(i)));
+            // checkCoreConfig's floor: 2 entries is the no-FDP FTQ.
+            opt.cfg.ftqEntries = parseNumber(a, need(i), 2u);
         } else if (a == "--btb") {
-            opt.cfg.bpu.btb.numEntries =
-                static_cast<unsigned>(std::atoi(need(i)));
+            opt.cfg.bpu.btb.numEntries = parseNumber(a, need(i), 0u);
         } else if (a == "--scheme") {
             opt.cfg.historyScheme = parseScheme(need(i));
         } else if (a == "--pfc") {
@@ -244,8 +298,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--merge") {
             opt.merge = true;
         } else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            opt.jobs = parseNumber(a, need(i), 1u, kMaxJobs);
         } else if (a == "--compare-baseline") {
             opt.compareBaseline = true;
         } else if (a == "--json") {
@@ -254,10 +307,10 @@ parseArgs(int argc, char **argv)
             opt.csvPath = need(i);
         } else if (a == "--heartbeat") {
             opt.cfg.obs.heartbeatInterval =
-                std::strtoull(need(i), nullptr, 10);
+                parseNumber<std::uint64_t>(a, need(i), 0);
         } else if (a == "--profile") {
             opt.cfg.obs.profileInterval =
-                std::strtoull(need(i), nullptr, 10);
+                parseNumber<std::uint64_t>(a, need(i), 0);
         } else if (a == "--heartbeat-jsonl") {
             opt.heartbeatJsonlPath = need(i);
         } else if (a == "--trace") {
@@ -422,6 +475,8 @@ main(int argc, char **argv)
         }
         return campaignMain(opt);
     }
+    if (!opt.campaignFlag.empty())
+        fdip_fatal("%s applies only to --campaign", opt.campaignFlag.c_str());
     // Only an L1I prefetcher's fills go to the buffer (the FTQ's are
     // demand fills), so without one it would stay empty.
     if (opt.cfg.usePrefetchBuffer && opt.prefetcher == "none")
