@@ -569,12 +569,14 @@ runCampaignSpooled(const std::vector<CampaignEntry> &entries,
                          .first;
             }
         }
+        // The name comes from the manifest entry the record's hash
+        // addresses (the name is hashed into it), never from the
+        // record's own workload field, which no checksum covers.
+        slot.workload = suite[m.workloadIdx].name;
         if (it == scan.records.end()) {
             summary.complete = false;
-            slot.workload = suite[m.workloadIdx].name;
             continue;
         }
-        slot.workload = it->second.workload;
         slot.stats = it->second.stats;
         ++summary.cacheHits;
     }
@@ -619,7 +621,7 @@ mergeCampaignSpool(const std::vector<CampaignEntry> &entries,
             continue;
         }
         RunResult &slot = (*results)[m.entryIdx].runs[m.workloadIdx];
-        slot.workload = it->second.workload;
+        slot.workload = suite[m.workloadIdx].name; // As in the drain.
         slot.stats = it->second.stats;
         ++summary.cacheHits;
     }

@@ -176,11 +176,16 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
     if (!f)
         return false;
 
-    // ---- Pass 1: slurp the records.
+    // ---- Pass 1: slurp the records. A torn last record means a
+    // truncated file: refused, as readTraceFile refuses one.
     std::vector<ChampSimRecord> recs;
     ChampSimRecord rec;
-    while ((max_insts == 0 || recs.size() < max_insts) &&
-           std::fread(&rec, sizeof(rec), 1, f.get()) == 1) {
+    while (max_insts == 0 || recs.size() < max_insts) {
+        const std::size_t got = std::fread(&rec, 1, sizeof(rec), f.get());
+        if (got == 0)
+            break;
+        if (got != sizeof(rec))
+            return false;
         recs.push_back(rec);
     }
     if (recs.empty())

@@ -10,12 +10,13 @@
  * calls: frontend, FTQ, BPU predict/update, cache accesses, prefetcher
  * dispatch) so two enforcement layers can see the boundary:
  *
- *  - `tools/lint/check_hotpath.py` parses the annotations and bans
- *    heap allocation (`new`, `make_unique`/`make_shared`, growing
- *    std-container calls, `std::string` construction,
- *    `std::function`), `throw`, iostream/format, and lock acquisition
- *    inside annotated code. Exact-path allowlists name the justified
- *    exceptions and fail when stale.
+ *  - `tools/lint/check_hotgraph.py` walks the static call graph from
+ *    the annotations and bans heap allocation (`new`,
+ *    `make_unique`/`make_shared`, growing std-container calls,
+ *    `std::string` construction, `std::function`), `throw`,
+ *    iostream/format, and lock acquisition in every body the tick
+ *    loop can reach. `(rule, file, symbol)` allowlist entries name
+ *    the justified exceptions and fail when stale.
  *  - `tests/core_hotpath_test.cc` interposes a counting
  *    `operator new`/`delete` and proves `Core::run` performs zero
  *    heap allocations end-to-end for every named config x prefetcher.
@@ -38,8 +39,9 @@
  *       coldTeardown();
  *   }
  *
- * To exempt a file, add it to an allowlist in check_hotpath.py with a
- * written justification (docs/ANALYSIS.md §7 has the procedure).
+ * To exempt one site, add a `(rule, file, symbol)` entry to ALLOWLIST
+ * in tools/lint/hotgraph/model.py with a written justification
+ * (docs/ANALYSIS.md §8 has the procedure).
  */
 
 #ifndef FDIP_UTIL_HOTPATH_H_

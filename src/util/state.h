@@ -31,8 +31,8 @@
  *
  * Like the hot-path and capability macros, these compile away to
  * nothing on every compiler: the structured text itself is the
- * contract, enforced by tools/lint/check_statespace.py over the
- * hotgraph program index (ghost-state/schema completeness, reset
+ * contract, enforced by tools/lint/check_hotgraph.py's state audit
+ * over the program index (ghost-state/schema completeness, reset
  * coverage, host/arch taint separation). docs/ANALYSIS.md section 9
  * documents the taxonomy and the rules.
  */

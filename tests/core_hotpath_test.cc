@@ -2,11 +2,12 @@
  *  steady-state Core::run performs ZERO heap allocations, for every
  *  named configuration x every factory prefetcher.
  *
- *  tools/lint/check_hotpath.py is the static half (it names the
- *  offending line); this test is the dynamic half (it catches what a
- *  regex cannot: allocation inside a callee, a std container growing
- *  past its preallocation, a library call that mallocs). The two
- *  layers fail independently, so a regression has to slip past both.
+ *  tools/lint/check_hotgraph.py is the static half (it names the
+ *  offending line along the call chain); this test is the dynamic
+ *  half (it catches what a static scan cannot: a call it cannot
+ *  resolve, a std container growing past its preallocation, a
+ *  library call that mallocs). The two layers fail independently, so
+ *  a regression has to slip past both.
  *
  *  Method: tests/hotpath_alloc_interposer.h replaces the global
  *  operator new/delete with counting versions. A first throwaway run
@@ -117,7 +118,7 @@ TEST(HotpathInterposer, CountsArrayAndNothrowForms)
 /** The core claim: zero steady-state allocations for every named
  *  config x every factory prefetcher. A failure here means a per-tick
  *  structure lost its preallocation (or a new one was added without
- *  one) -- find the line with tools/lint/check_hotpath.py, or bisect
+ *  one) -- find the line with tools/lint/check_hotgraph.py, or bisect
  *  with the byte counter. */
 TEST(CoreHotpath, BaselineRunsWithoutHeapAllocation)
 {

@@ -398,5 +398,50 @@ TEST(CampaignMerge, WarmupFractionIsPartOfTheAddress)
     EXPECT_EQ(summary.cacheHits, 0u);
 }
 
+TEST(CampaignMerge, EditedWorkloadFieldNeverReachesTheReport)
+{
+    // The record's workload string is outside the counter checksum, so
+    // a record whose name was edited still verifies. The report must
+    // take the name from the manifest entry the hash addressed.
+    const TinyCampaign tc;
+    const std::string spool = tempDir();
+    SpoolOptions options;
+    options.spoolDir = spool;
+    runCampaignSpooled(tc.entries, tc.suite, options);
+    const std::string golden_json = spool + ".golden.json";
+    ASSERT_TRUE(writeSuiteResultsJson(
+        golden_json, runCampaign(tc.entries, tc.suite, 0.2, 1)));
+
+    const auto manifest = buildManifest(tc.entries, tc.suite, 0.2);
+    const std::string path = spool + "/" + manifest[1].hash + ".json";
+    std::string record = slurp(path);
+    const std::string field =
+        "\"workload\": \"" + tc.suite[manifest[1].workloadIdx].name + "\"";
+    const std::size_t at = record.find(field);
+    ASSERT_NE(at, std::string::npos);
+    record.replace(at, field.size(), "\"workload\": \"r-X\"");
+    writeRaw(path, record);
+
+    // Both fill paths: a merge, and a drain that finds every record.
+    std::vector<SuiteResult> merged;
+    SpoolSummary summary;
+    std::string error;
+    ASSERT_TRUE(mergeCampaignSpool(tc.entries, tc.suite, spool, 0.2,
+                                   &merged, &summary, &error))
+        << error;
+    EXPECT_EQ(summary.quarantined, 0u) << "the edited record verifies";
+    const std::string merged_json = spool + ".merged.json";
+    ASSERT_TRUE(writeSuiteResultsJson(merged_json, merged));
+    EXPECT_EQ(slurp(golden_json), slurp(merged_json));
+
+    SpoolSummary rerun_summary;
+    const auto rerun =
+        runCampaignSpooled(tc.entries, tc.suite, options, &rerun_summary);
+    EXPECT_EQ(rerun_summary.cacheHits, 4u);
+    const std::string rerun_json = spool + ".rerun.json";
+    ASSERT_TRUE(writeSuiteResultsJson(rerun_json, rerun));
+    EXPECT_EQ(slurp(golden_json), slurp(rerun_json));
+}
+
 } // namespace
 } // namespace fdip

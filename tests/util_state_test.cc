@@ -1,7 +1,7 @@
 /** @file Unit tests for util/state.h.
  *
  * The FDIP_STATE_* annotations are a contract for the static auditor
- * (tools/lint/check_statespace.py), not code: they must expand to
+ * (tools/lint/check_hotgraph.py), not code: they must expand to
  * nothing on every compiler, leaving layout, size, and initialization
  * of annotated classes untouched. These tests pin that — an annotated
  * struct is byte-identical to its unannotated twin — and check the

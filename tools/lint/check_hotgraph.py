@@ -1,37 +1,45 @@
 #!/usr/bin/env python3
-"""Semantic hot-path verifier: whole-call-graph closure analysis.
+"""Program-index lints: hot-path closure and architectural-state audit.
 
-check_hotpath.py enforces the tick-loop discipline *inside* annotated
-bodies with regexes; a FDIP_HOT_PATH function calling an unannotated
-helper that allocates, throws, locks, or dispatches virtually escapes
-it entirely. This lint closes that hole: it indexes the C++ sources,
+Indexes the C++ sources once and runs two analyses over the index.
+
+The closure analysis (hotgraph/analysis.py, docs/ANALYSIS.md §7-§8)
 builds the static call graph rooted at every FDIP_HOT_PATH definition
-and FDIP_HOT_REGION span, computes the transitive closure, and
-reports
+and FDIP_HOT_REGION span, and reports
 
   - reachable functions whose definition lacks FDIP_HOT_PATH,
-  - banned operations (check_hotpath's exact rules) anywhere in the
-    closure,
+  - banned operations (hotgraph/model.py's BAN_RULES: allocation,
+    std::string, std::function, throw, iostream/printf, locks)
+    anywhere in the closure,
   - virtual call sites whose static receiver type is not sealed
-    (devirtualization holes), and
-  - module-layering back-edges over the include graph.
+    (devirtualization holes),
+  - module-layering back-edges over the include graph, and
+  - annotations that escape the walk: a FDIP_HOT_PATH token that
+    heads no hot function body, and unpaired region markers.
 
-Two interchangeable frontends produce the same neutral index:
+The state audit (hotgraph/statespace.py, docs/ANALYSIS.md §9) reads
+the same index and hot closure: every data member of every audited
+class carries an FDIP_STATE_{ARCH,MICRO,HOST} classification
+(src/util/state.h), ARCH claims match schema fields in both
+directions, deterministic scalars are reset, HOST members stay off
+the hot closure, and every class CLASS_TO_CERT maps cross-checks
+against the budget certificate. --census-golden diffs the member
+census against a reviewed golden; --update-census rewrites it.
+
+Two interchangeable frontends produce the index:
 
   --frontend=builtin   the structural indexer in hotgraph/textual.py
                        (stdlib only, always available — the default)
   --frontend=clang     libclang over the build's own
-                       compile_commands.json (exact; the CI hotgraph
-                       job runs it on clang-18)
-  --frontend=auto      clang when clang.cindex imports, else builtin
+                       compile_commands.json (exact; CI runs it on
+                       clang-18; FDIP_LIBCLANG names the library)
 
-Exceptions live in hotgraph/model.py (ALLOWLIST for call-graph rules,
-INCLUDE_EXCEPTIONS for layering edges), each with a written
+Exceptions live in hotgraph/model.py (ALLOWLIST, INCLUDE_EXCEPTIONS)
+and hotgraph/statespace.py (STATE_ALLOWLIST), each with a written
 justification; an entry that suppresses nothing is itself a finding.
-docs/ANALYSIS.md section 8 documents the contract.
 
 Exit status: 0 when clean, 1 with findings listed on stderr, 2 when
-the requested frontend is unavailable.
+the clang frontend is unavailable.
 """
 
 from __future__ import annotations
@@ -41,71 +49,96 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from lintlib import REPO, make_parser, report  # noqa: E402
+from lintlib import make_parser, report  # noqa: E402
 from hotgraph.analysis import Analysis, human_table  # noqa: E402
 from hotgraph import textual  # noqa: E402
 from hotgraph.compile_db import find_compile_db  # noqa: E402
+from hotgraph.statespace import StateAudit, census_diff  # noqa: E402
+
+CERTIFICATE = "tests/data/budget_certificate.golden.json"
 
 
-def build_index(root: Path, frontend: str, compile_db: str | None,
-                libclang: str | None):
+def build_index(root: Path, frontend: str, compile_db: str | None):
     """ProgramIndex for <root> via the requested frontend, or None
-    with a message on stderr when the frontend is unavailable."""
-    if frontend in ("clang", "auto"):
-        try:
-            from hotgraph import clang_frontend
-            db = find_compile_db(root, compile_db)
-            return clang_frontend.index_tree(root, db, libclang)
-        except ImportError as e:
-            if frontend == "clang":
-                print(f"check_hotgraph: clang frontend unavailable: {e}",
-                      file=sys.stderr)
-                return None
-        except Exception as e:  # noqa: BLE001 — degrade, don't crash
-            if frontend == "clang":
-                print(f"check_hotgraph: clang frontend failed: {e}",
-                      file=sys.stderr)
-                return None
-            print(f"check_hotgraph: clang frontend failed ({e}); "
-                  "falling back to builtin", file=sys.stderr)
-    return textual.index_tree(root)
+    with a message on stderr when the clang frontend is unavailable."""
+    if frontend == "builtin":
+        return textual.index_tree(root)
+    try:
+        from hotgraph import clang_frontend
+        return clang_frontend.index_tree(
+            root, find_compile_db(root, compile_db))
+    except ImportError as e:
+        print(f"check_hotgraph: clang frontend unavailable: {e}",
+              file=sys.stderr)
+    except Exception as e:  # noqa: BLE001 — report, don't crash
+        print(f"check_hotgraph: clang frontend failed: {e}",
+              file=sys.stderr)
+    return None
 
 
 def main() -> int:
     ap = make_parser(__doc__)
-    ap.add_argument("--frontend", choices=("auto", "builtin", "clang"),
+    ap.add_argument("--frontend", choices=("builtin", "clang"),
                     default="builtin",
                     help="source indexer (default: builtin)")
     ap.add_argument("--compile-db", default=None,
                     help="compile_commands.json (or its directory) for "
                          "the clang frontend")
-    ap.add_argument("--libclang", default=None,
-                    help="explicit libclang shared-library path")
     ap.add_argument("--json", default=None, metavar="PATH",
-                    help="write the hot-callgraph-v1 JSON report here")
+                    help="write both reports (hot-callgraph-v1, "
+                         "state-audit-v1) here")
     ap.add_argument("--table", action="store_true",
                     help="print the per-module coverage table")
+    ap.add_argument("--census-golden", default=None, metavar="PATH",
+                    help="diff the member census against this golden")
+    ap.add_argument("--update-census", default=None, metavar="PATH",
+                    help="write the member census golden here")
     ap.add_argument("--bare", action="store_true",
-                    help="ignore the repo allowlist and include "
-                         "exceptions (fixture self-tests)")
+                    help="ignore the repo allowlists, include "
+                         "exceptions and certificate (fixture trees)")
     args = ap.parse_args()
 
-    prog = build_index(args.root.resolve(), args.frontend,
-                       args.compile_db, args.libclang)
+    root = args.root.resolve()
+    prog = build_index(root, args.frontend, args.compile_db)
     if prog is None:
         return 2
 
-    analysis = (Analysis(prog, allowlist=[], include_exceptions=[])
-                if args.bare else Analysis(prog))
-    findings = analysis.run()
+    if args.bare:
+        analysis = Analysis(prog, allowlist=[], include_exceptions=[])
+        audit = StateAudit(analysis, root, allowlist=[])
+    else:
+        cert = root / CERTIFICATE
+        analysis = Analysis(prog)
+        audit = StateAudit(analysis, root, certificate=(
+            json.loads(cert.read_text()) if cert.is_file() else None))
+    problems = [f.render() for f in analysis.run()]
+    problems += [f.render() for f in audit.run()]    # reads the walk
 
+    if args.update_census:
+        Path(args.update_census).write_text(
+            json.dumps(audit.census(), indent=2, sort_keys=True) + "\n")
+    if args.census_golden:
+        golden = Path(args.census_golden)
+        if golden.is_file():
+            problems += census_diff(json.loads(golden.read_text()),
+                                    audit.census())
+        else:
+            problems.append(f"census golden {golden} is missing "
+                            "(regenerate with --update-census)")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(analysis.to_json(), indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(
+            {"hotCallgraph": analysis.to_json(),
+             "stateAudit": audit.to_json()}, indent=2) + "\n")
     if args.table:
         print(human_table(analysis))
 
-    return report("check_hotgraph", [f.render() for f in findings])
+    s = analysis.summary()
+    print(f"check_hotgraph: {s['hotRoots']} hot roots, "
+          f"{s['hotRegions']} region(s), {s['reachable']} reachable; "
+          f"{len(audit.classes)} audited classes, "
+          f"{sum(len(c.members) for c in audit.classes.values())} "
+          f"members ({prog.backend} frontend)")
+    return report("check_hotgraph", problems)
 
 
 if __name__ == "__main__":

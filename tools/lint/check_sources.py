@@ -3,16 +3,16 @@
 
 Rules enforced over src/ (and, where noted, tests/):
 
-  1. no-libc-rand     rand()/srand() are banned; all randomness must go
-                      through util/rng.h so runs are reproducible.
-  2. no-raw-new       raw `new` is banned outside util/rng.h-style
-                      allowlists; use std::make_unique / containers.
-  3. no-c-cast        C-style casts that can silently narrow are
+  1. no-raw-new       raw `new` is banned; use std::make_unique /
+                      containers.
+  2. no-c-cast        C-style casts that can silently narrow are
                       banned; use static_cast and friends.
-  4. header-hygiene   every header must have a FDIP_..._H_ include
+  3. header-hygiene   every header must have a FDIP_..._H_ include
                       guard matching its path.
-  5. self-contained   every header in src/ must compile on its own
+  4. self-contained   every header in src/ must compile on its own
                       (a generated TU per header, g++ -fsyntax-only).
+
+libc rand()/srand() is check_determinism.py's rule.
 
 The lint runs against the repository by default; --root points it at
 any tree with the same src/ layout, which is how the fixture suite in
@@ -33,13 +33,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from lintlib import (REPO, make_parser, rel, report, source_files,
                      strip_comments_and_strings)
 
-SRC = REPO / "src"
-
-# Files allowed to use primitives the rest of the tree must not.
-RAND_ALLOWLIST = {"src/util/rng.h"}
-NEW_ALLOWLIST: set[str] = set()
-
-RE_LIBC_RAND = re.compile(r"(?<![\w:.])s?rand\s*\(")
 RE_RAW_NEW = re.compile(r"(?<![\w_])new\s+[A-Za-z_:][\w:<>, ]*[({[]")
 RE_C_CAST = re.compile(
     r"(?<![\w_>)])\(\s*(?:unsigned\s+)?"
@@ -59,11 +52,7 @@ def lint_content(findings: list[str], root: Path) -> None:
         name = rel(path, root)
         text = strip_comments_and_strings(path.read_text())
         for lineno, line in enumerate(text.splitlines(), 1):
-            if name not in RAND_ALLOWLIST and RE_LIBC_RAND.search(line):
-                findings.append(
-                    f"{name}:{lineno}: libc rand()/srand() is banned; "
-                    f"use util/rng.h (deterministic, seedable)")
-            if name not in NEW_ALLOWLIST and RE_RAW_NEW.search(line):
+            if RE_RAW_NEW.search(line):
                 findings.append(
                     f"{name}:{lineno}: raw `new` is banned; use "
                     f"std::make_unique or a container")

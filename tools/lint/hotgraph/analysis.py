@@ -5,15 +5,18 @@ four properties:
 
   1. every function reachable from a FDIP_HOT_PATH root (or a
      FDIP_HOT_REGION span) is itself annotated FDIP_HOT_PATH,
-  2. no function in the closure contains a banned operation (the
-     exact BAN_RULES check_hotpath.py applies to annotated bodies,
-     now applied through callees),
+  2. no function in the closure (and no hot region) contains an
+     operation of model.BAN_RULES,
   3. no call in the closure can dispatch virtually unless the
      receiver's static type or the method is `final` (or the site is
      an allowlisted designed dispatch point),
   4. the include graph respects the module layering DAG
      (util -> check -> obs/trace -> bpu/cache -> prefetch -> core ->
      sim -> harness), with justified exceptions carried per edge.
+
+It also reports the parse-level problems the frontend recorded: a
+FDIP_HOT_PATH token that heads no hot function body, and region
+markers that do not pair up, so no annotated code escapes the walk.
 
 Resolution is deliberately conservative: a call the frontend cannot
 bind to a definition in the index produces no edge (std:: calls,
@@ -29,33 +32,18 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .model import (ALLOWLIST, INCLUDE_EXCEPTIONS, MODULE_RANK,
-                    RULE_BANNED_OP, RULE_LAYERING, RULE_STALE_ALLOW,
-                    RULE_STRUCTURE, RULE_UNANNOTATED, RULE_VIRTUAL,
-                    AllowEntry, CallSite, ClassInfo, Finding,
-                    FunctionInfo, IncludeException, ProgramIndex,
-                    module_of)
-
-# The banned-operation rules are check_hotpath.py's, imported so the
-# two enforcement layers can never drift apart.
-from check_hotpath import BAN_RULES  # noqa: E402
-
-#: Short allowlist keys for BAN_RULES, index-aligned. A banned-op
-#: finding's symbol is "<function qname>/<key>" so an exception names
-#: both the function and the specific ban it excuses.
-BAN_KEYS = ("new", "make-smart", "container-grow", "string",
-            "std-function", "throw", "io", "lock")
-assert len(BAN_KEYS) == len(BAN_RULES), \
-    "BAN_KEYS must stay index-aligned with check_hotpath.BAN_RULES"
+from .model import (ALLOWLIST, BAN_RULES, INCLUDE_EXCEPTIONS,
+                    MODULE_RANK, RULE_BANNED_OP, RULE_LAYERING,
+                    RULE_STALE_ALLOW, RULE_STRUCTURE, RULE_UNANNOTATED,
+                    RULE_VIRTUAL, AllowEntry, CallSite, ClassInfo,
+                    Finding, FunctionInfo, IncludeException,
+                    ProgramIndex, apply_allowlist, module_of)
+from .textual import line_of
 
 #: Modules at or above this rank are the harness (tools, bench,
 #: tests, examples): they sit at the top of the DAG and may include
 #: anything, including each other.
 HARNESS_RANK = MODULE_RANK["tools"]
-
-#: Line-level pragma that exempts the next line from closure rules.
-#: Kept deliberately absent: exceptions go in model.ALLOWLIST with a
-#: written justification, not in the source margin.
 
 
 @dataclass
@@ -84,11 +72,11 @@ class Analysis:
                                    if include_exceptions is None
                                    else include_exceptions)
         self.findings: list[Finding] = []
-        self._used_allow: set[int] = set()      # indices into allowlist
         self._used_inc_exc: set[int] = set()
         #: hot-closure members discovered by run(), for downstream
-        #: consumers (check_statespace's host/arch taint rule)
-        self.reachable_functions: list[FunctionInfo] = []
+        #: consumers (the state audit's host/arch taint rule); None
+        #: until run() has walked the closure
+        self.reachable_functions: list[FunctionInfo] | None = None
 
         # ---- lookup tables ------------------------------------------
         self.funcs = prog.all_functions()
@@ -328,6 +316,7 @@ class Analysis:
     def run(self) -> list[Finding]:
         self._check_structure()
         self._check_layering()
+        self.reachable_functions = []
 
         roots: list[tuple[FunctionInfo | None, str]] = []
         for f in self.funcs:
@@ -367,7 +356,7 @@ class Analysis:
         while queue:
             fn, chain = queue.popleft()
             if not fn.is_hot:
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_UNANNOTATED, fn.file, fn.line, fn.qname,
                     f"{fn.qname} is reachable from a hot root but its "
                     "definition lacks FDIP_HOT_PATH",
@@ -382,18 +371,16 @@ class Analysis:
                     continue
                 self._visit_call(call, fn, chain, enqueue)
 
-        self._check_stale_allowlist()
-        self.findings.sort(key=lambda f: (f.file, f.line, f.rule,
-                                          f.symbol))
-        self._reachable = len(visited)
-        self._roots = len(roots) + len(self.prog.all_regions())
+        self._check_stale_include_exceptions()
+        self.findings = apply_allowlist(self.findings, self.allowlist,
+                                        RULE_STALE_ALLOW)
         return self.findings
 
     def _visit_call(self, call: CallSite, ctx: FunctionInfo | None,
                     chain: tuple[str, ...], enqueue) -> None:
         res = self.resolve(call, ctx)
         if res.devirt_hole:
-            self._finding(Finding(
+            self.findings.append(Finding(
                 RULE_VIRTUAL, call.file, call.line, res.virtual_symbol,
                 f"call to {res.virtual_symbol} may dispatch virtually: "
                 f"static type {res.receiver_class.qname} is not final "
@@ -425,17 +412,16 @@ class Analysis:
     def _scan_banned(self, text: str, start: int, end: int,
                      file: str, symbol: str,
                      chain: tuple[str, ...]) -> None:
-        for key, (pattern, message) in zip(BAN_KEYS, BAN_RULES):
+        for key, pattern, message in BAN_RULES:
             for m in pattern.finditer(text, start, end):
-                line = text.count("\n", 0, m.start()) + 1
-                self._finding(Finding(
-                    RULE_BANNED_OP, file, line, f"{symbol}/{key}",
-                    message, chain))
+                self.findings.append(Finding(
+                    RULE_BANNED_OP, file, line_of(text, m.start()),
+                    f"{symbol}/{key}", message, chain))
 
     def _check_structure(self) -> None:
         for fi in self.prog.files.values():
             for line, msg in fi.problems:
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_STRUCTURE, fi.path, line, fi.path, msg))
 
     def _check_layering(self) -> None:
@@ -455,7 +441,7 @@ class Analysis:
                 continue
             kind = ("upward" if trank > frank
                     else "same-rank cross-module")
-            self._finding(Finding(
+            self.findings.append(Finding(
                 RULE_LAYERING, inc.file, inc.line, tmod,
                 f'{kind} include "{inc.target}": {fmod} (rank {frank}) '
                 f"must not depend on {tmod} (rank {trank}); invert the "
@@ -468,32 +454,15 @@ class Analysis:
                 return k
         return None
 
-    def _check_stale_allowlist(self) -> None:
-        for k, entry in enumerate(self.allowlist):
-            if k in self._used_allow:
-                continue
-            self._finding(Finding(
-                RULE_STALE_ALLOW, entry.file, 0,
-                f"{entry.rule}:{entry.symbol}",
-                f"allowlist entry ({entry.rule}, {entry.file}, "
-                f"{entry.symbol}) suppressed nothing; delete it so the "
-                "escape hatch cannot outlive the code it excused"))
+    def _check_stale_include_exceptions(self) -> None:
         for k, exc in enumerate(self.include_exceptions):
             if k in self._used_inc_exc:
                 continue
-            self._finding(Finding(
+            self.findings.append(Finding(
                 RULE_STALE_ALLOW, exc.file, 0,
                 f"include:{exc.target_module}",
                 f"include exception ({exc.file} -> {exc.target_module}) "
                 "matched no include edge; delete it"))
-
-    def _finding(self, finding: Finding) -> None:
-        for k, entry in enumerate(self.allowlist):
-            if entry.rule == finding.rule and entry.file == finding.file \
-                    and entry.symbol == finding.symbol:
-                self._used_allow.add(k)
-                return
-        self.findings.append(finding)
 
     # ------------------------------------------------------------------
     # Report data.
@@ -509,7 +478,7 @@ class Analysis:
             "classes": len(self.classes),
             "hotRoots": hot,
             "hotRegions": len(self.prog.all_regions()),
-            "reachable": getattr(self, "_reachable", 0),
+            "reachable": len(self.reachable_functions),
             "findings": len(self.findings),
         }
 

@@ -4,9 +4,9 @@ Parses the translation units compile_commands.json names (with the
 build's own flags), so the analyzed program is the shipped program.
 The AST contributes what regexes cannot get right — resolved callee
 references, virtual-dispatch facts, class finality — while the
-length-preserving text layer (hot annotations, region spans, include
-edges, banned-op scanning) stays byte-identical with the builtin
-frontend: both emit the same neutral FileIndex model, and the fixture
+length-preserving text layer (stripped text, include edges, region
+spans, annotation problems) is the builtin frontend's own parse of
+each file: both emit the same neutral FileIndex model, and the fixture
 suite pins that they agree on every seeded violation class.
 
 Calls the AST cannot bind (dependent expressions inside uninstantiated
@@ -26,9 +26,8 @@ import clang.cindex as ci
 
 from .compile_db import clang_args, load_compile_db
 from .model import (CallSite, ClassInfo, FileIndex, FunctionInfo,
-                    Include, MethodDecl, ProgramIndex)
-from .textual import (INCLUDE_RE, TextualFileParser, find_regions,
-                      line_of, strip_code)
+                    MethodDecl, ProgramIndex)
+from .textual import TextualFileParser, line_of
 
 #: Candidate libclang locations probed when the default loading fails.
 _LIBCLANG_CANDIDATES = (
@@ -43,11 +42,13 @@ _LIBCLANG_CANDIDATES = (
 _configured = False
 
 
-def _configure(libclang: str | None) -> None:
+def _configure() -> None:
+    """Loads libclang: FDIP_LIBCLANG when set, else the default search
+    and then the candidate paths."""
     global _configured
     if _configured:
         return
-    explicit = libclang or os.environ.get("FDIP_LIBCLANG")
+    explicit = os.environ.get("FDIP_LIBCLANG")
     if explicit:
         ci.Config.set_library_file(explicit)
     else:
@@ -148,11 +149,14 @@ class _TreeIndexer:
         if fi is None:
             raw = (self.root / rel).read_text(errors="replace")
             self.raw[rel] = raw
-            fi = FileIndex(path=rel, text=strip_code(raw))
-            for m in INCLUDE_RE.finditer(raw):
-                fi.includes.append(
-                    Include(rel, line_of(raw, m.start()), m.group(1)))
-            find_regions(fi)
+            # Includes, regions and annotation problems come from the
+            # structural parser, which reads the #if arms libclang
+            # skips; libclang supplies functions, classes and calls.
+            structural = TextualFileParser(rel, raw).parse()
+            fi = FileIndex(path=rel, text=structural.text,
+                           includes=structural.includes,
+                           regions=structural.regions,
+                           problems=structural.problems)
             self.prog.add(fi)
         return fi
 
@@ -290,15 +294,14 @@ class _TreeIndexer:
             is_virtual_call=virtual))
 
 
-def index_tree(root: Path, db_path: Path | None,
-               libclang: str | None = None) -> ProgramIndex:
+def index_tree(root: Path, db_path: Path | None) -> ProgramIndex:
     """ProgramIndex over <root>/src via libclang.
 
     With a compile database, parses exactly the TUs the build
     compiles. Without one, parses every src/ file with minimal flags
     (-std=c++20 -I<root>/src), which is how the fixture trees run.
     """
-    _configure(libclang)
+    _configure()
     index = ci.Index.create()
     indexer = _TreeIndexer(root)
 

@@ -9,7 +9,59 @@ produced the facts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+
+# --------------------------------------------------------------------
+# The hot-path ban table.
+#
+# Applied to the stripped code of every body in the hot closure and
+# every FDIP_HOT_REGION span. The repo's fixed-capacity types
+# (FixedVector, FlatMap, CircularQueue) use camelCase mutators
+# precisely so steady-state mutation does not collide with these bans.
+# tests/core_hotpath_test.cc is the runtime ground truth for the
+# allocation bans: it interposes operator new/delete and proves
+# Core::run allocates nothing in steady state.
+#
+# Each row is (key, pattern, message). A banned-op finding's symbol is
+# "<function qname>/<key>", so an allowlist entry names both the
+# function and the one ban it excuses.
+# --------------------------------------------------------------------
+
+BAN_RULES: list[tuple[str, re.Pattern[str], str]] = [
+    ("new", re.compile(r"\bnew\b"),
+     "heap allocation (`new`) is banned on the hot path"),
+    ("make-smart", re.compile(r"\bmake_(?:unique|shared)\s*<"),
+     "heap allocation (make_unique/make_shared) is banned on the "
+     "hot path"),
+    ("container-grow",
+     re.compile(r"(?:\.|->)(?:push_back|emplace_back|emplace_front|"
+                r"emplace|push_front|insert|resize|reserve|assign)"
+                r"\s*\("),
+     "growing std-container call is banned on the hot path; use the "
+     "fixed-capacity types (FixedVector/FlatMap/CircularQueue)"),
+    ("string",
+     re.compile(r"\bstd::(?:string|to_string|[io]?stringstream)\b"),
+     "std::string construction is banned on the hot path"),
+    ("std-function", re.compile(r"\bstd::function\b"),
+     "std::function is banned on the hot path; bind callables at "
+     "setup time"),
+    # Hot code reports invariant violations through FDIP_CHECK /
+    # fdip_panic, whose [[noreturn]] failure path is outside the
+    # closure.
+    ("throw", re.compile(r"\bthrow\b"),
+     "`throw` is banned on the hot path; report via FDIP_CHECK or "
+     "fdip_panic"),
+    ("io", re.compile(r"\bstd::(?:cout|cerr|clog|format)\b|"
+                      r"(?<![\w:])(?:printf|fprintf|sprintf|snprintf|"
+                      r"puts|fputs)\s*\("),
+     "iostream/printf formatting is banned on the hot path"),
+    ("lock", re.compile(r"\bstd::(?:mutex|lock_guard|unique_lock|"
+                        r"scoped_lock|condition_variable)\b|"
+                        r"(?:\.|->)lock\s*\("),
+     "lock acquisition is banned on the hot path (the tick loop is "
+     "single-threaded)"),
+]
 
 # --------------------------------------------------------------------
 # Module layering.
@@ -202,7 +254,8 @@ class FileIndex:
     calls: list[CallSite] = field(default_factory=list)
     includes: list[Include] = field(default_factory=list)
     regions: list[HotRegion] = field(default_factory=list)
-    #: (line, message) parse-level contract breaks (unclosed regions)
+    #: (line, message) parse-level contract breaks (unpaired region
+    #: markers, FDIP_HOT_PATH tokens that head no hot definition)
     problems: list[tuple[int, str]] = field(default_factory=list)
     #: names *declared* [[noreturn]] in this file (the definition may
     #: legally omit the attribute, e.g. log.h declares / log.cc defines)
@@ -277,6 +330,29 @@ class AllowEntry:
     file: str
     symbol: str
     why: str
+
+
+def apply_allowlist(findings: list[Finding], allowlist: list[AllowEntry],
+                    stale_rule: str) -> list[Finding]:
+    """@p findings without those an @p allowlist entry matches, plus
+    one @p stale_rule finding per entry that matched none, sorted by
+    site."""
+    used: set[AllowEntry] = set()
+    kept: list[Finding] = []
+    for f in findings:
+        entry = next((a for a in allowlist
+                      if (a.rule, a.file, a.symbol)
+                      == (f.rule, f.file, f.symbol)), None)
+        if entry is None:
+            kept.append(f)
+        else:
+            used.add(entry)
+    kept += [Finding(stale_rule, a.file, 0, f"{a.rule}:{a.symbol}",
+                     f"allowlist entry ({a.rule}, {a.file}, {a.symbol}) "
+                     "suppressed nothing; delete it so the escape hatch "
+                     "cannot outlive the code it excused")
+             for a in allowlist if a not in used]
+    return sorted(kept, key=lambda f: (f.file, f.line, f.rule, f.symbol))
 
 
 #: Head allowlist. Every entry needs a written justification here and

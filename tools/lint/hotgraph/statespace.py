@@ -26,10 +26,11 @@ tests/check_certify_test.cc already ties to storageBits(): source
 annotations, schema declarations, certificate fields, and the
 modeled bit totals must all agree.
 
-The frontends are hotgraph's (textual by default, libclang in CI);
-the census itself is always extracted textually because the
-annotations compile away — libclang never sees them. Offsets are
-shared with the raw file via the length-preserving stripper.
+The audit reads the index and the hot closure of a completed
+Analysis (textual frontend by default, libclang in CI); the census
+itself is always extracted textually because the annotations compile
+away — libclang never sees them. Offsets are shared with the raw file
+via the length-preserving stripper.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import (AllowEntry, Finding, FunctionInfo, ProgramIndex,
+from .model import (AllowEntry, Finding, FunctionInfo, apply_allowlist,
                     module_of)
 from .analysis import Analysis
 from .textual import (Token, match_brace_span, line_of, tokenize,
@@ -378,7 +379,8 @@ def _parse_member(stmt: list[Token], had_block: bool,
 
 
 class StateAudit:
-    """Runs the three statespace rule families over a ProgramIndex.
+    """Runs the three statespace rule families over the index of
+    @p analysis, whose run() has already walked the hot closure.
 
     @p root is the tree the index was built from (raw file access for
     schema field strings, which the stripper blanks); @p certificate
@@ -386,21 +388,19 @@ class StateAudit:
     census/bits cross-check.
     """
 
-    def __init__(self, prog: ProgramIndex, root: Path,
+    def __init__(self, analysis: Analysis, root: Path,
                  allowlist: list[AllowEntry] | None = None,
                  certificate: dict | None = None,
                  cert_classes: dict[str, str] | None = None):
-        self.prog = prog
+        self.analysis = analysis
+        self.prog = analysis.prog
         self.root = Path(root)
         self.allowlist = (STATE_ALLOWLIST if allowlist is None
                           else allowlist)
         self.certificate = certificate
         self.cert_classes = (CLASS_TO_CERT if cert_classes is None
                              else cert_classes)
-        self.analysis = Analysis(prog, allowlist=[],
-                                 include_exceptions=[])
         self.findings: list[Finding] = []
-        self._used_allow: set[int] = set()
         self.classes: dict[str, AuditClass] = {}
         self.classes_by_name: dict[str, AuditClass] = {}
 
@@ -492,7 +492,7 @@ class StateAudit:
     def _check_ghost(self, ac: AuditClass) -> None:
         for m in ac.members.values():
             if m.kind is None:
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_UNCLASSIFIED, ac.file, m.line,
                     f"{ac.qname}::{m.name}",
                     f"{ac.qname}::{m.name} carries no FDIP_STATE_* "
@@ -506,7 +506,7 @@ class StateAudit:
             if m.fields == ["sub"]:
                 sub = self.classes_by_name.get(m.type_head)
                 if sub is None:
-                    self._finding(Finding(
+                    self.findings.append(Finding(
                         RULE_GHOST, ac.file, m.line,
                         f"{ac.qname}::{m.name}",
                         f"{ac.qname}::{m.name} delegates its storage "
@@ -515,7 +515,7 @@ class StateAudit:
                         "annotations)"))
                 continue
             if ac.schema is None:
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_GHOST, ac.file, m.line,
                     f"{ac.qname}::{m.name}",
                     f"{ac.qname}::{m.name} is FDIP_STATE_ARCH but "
@@ -523,7 +523,7 @@ class StateAudit:
                     "is invisible to the budget accounting"))
                 continue
             if not m.fields:
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_GHOST, ac.file, m.line,
                     f"{ac.qname}::{m.name}",
                     f"{ac.qname}::{m.name} is FDIP_STATE_ARCH but "
@@ -531,7 +531,7 @@ class StateAudit:
                 continue
             for claim in m.fields:
                 if not any(f.matches(claim) for f in ac.schema):
-                    self._finding(Finding(
+                    self.findings.append(Finding(
                         RULE_GHOST, ac.file, m.line,
                         f"{ac.qname}::{m.name}",
                         f"{ac.qname}::{m.name} claims schema field "
@@ -544,7 +544,7 @@ class StateAudit:
                       if c != "sub"]
             for f in ac.schema:
                 if not any(f.matches(c) for c in claims):
-                    self._finding(Finding(
+                    self.findings.append(Finding(
                         RULE_ORPHAN, ac.file, ac.line, ac.qname,
                         f"schema field '{f.name}'"
                         + (" (dynamic)" if f.dynamic else "")
@@ -665,7 +665,7 @@ class StateAudit:
             elif m.name in assigned:
                 m.covered_by = "ctor/reset closure"
             else:
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_UNRESET, ac.file, m.line,
                     f"{ac.qname}::{m.name}",
                     f"{ac.qname}::{m.name} is FDIP_STATE_"
@@ -715,7 +715,7 @@ class StateAudit:
                 mm = re.search(pat, body)
                 if mm is None:
                     continue
-                self._finding(Finding(
+                self.findings.append(Finding(
                     RULE_HOST_TAINT, file,
                     line_of(fi.text, start + mm.start()),
                     f"{ac.qname}::{m.name}",
@@ -728,18 +728,30 @@ class StateAudit:
     # ---- census / certificate cross-check -----------------------------
 
     def _check_certificate(self) -> None:
+        """Every cert_classes class must cross-check against its
+        paper-baseline certificate structure, field by field."""
         if not self.certificate:
             return
         configs = {c["name"]: c
                    for c in self.certificate.get("configs", [])}
-        base = configs.get("paper-baseline")
-        if base is None:
-            return
+        base = configs.get("paper-baseline", {"structures": []})
         structures = {s["name"]: s for s in base["structures"]}
         for qname, struct_name in self.cert_classes.items():
             ac = self.classes.get(qname)
             st = structures.get(struct_name)
             if ac is None or ac.schema is None or st is None:
+                why = ("no audited class has that name" if ac is None
+                       else "the class declares no StorageSchema"
+                       if ac.schema is None
+                       else "the certificate's paper-baseline config "
+                            "has no such structure")
+                self.findings.append(Finding(
+                    RULE_CENSUS, ac.file if ac else CLASS_TO_CERT_FILE,
+                    ac.line if ac else 0, qname,
+                    f"{qname} maps to certificate structure "
+                    f"'{struct_name}' (CLASS_TO_CERT) but {why}: the "
+                    "census was not cross-checked against the "
+                    "certificate"))
                 continue
             ac.certificate_structure = struct_name
             ac.certificate_bits = st["bits"]
@@ -749,7 +761,7 @@ class StateAudit:
                            or (sf.dynamic
                                and cert_field.startswith(sf.name))
                            for sf in ac.schema):
-                    self._finding(Finding(
+                    self.findings.append(Finding(
                         RULE_CENSUS, ac.file, ac.line, qname,
                         f"certificate structure '{struct_name}' "
                         f"charges field '{cert_field}' but the parsed "
@@ -757,30 +769,13 @@ class StateAudit:
                         f"({ac.schema_fn}) has no such field: census "
                         "and certificate disagree"))
 
-    # ---- staleness / plumbing -----------------------------------------
-
-    def _finding(self, finding: Finding) -> None:
-        for i, a in enumerate(self.allowlist):
-            if (a.rule == finding.rule and a.file == finding.file
-                    and a.symbol == finding.symbol):
-                self._used_allow.add(i)
-                return
-        self.findings.append(finding)
-
-    def _check_stale_allowlist(self) -> None:
-        for i, a in enumerate(self.allowlist):
-            if i not in self._used_allow:
-                self.findings.append(Finding(
-                    RULE_STALE_ALLOW, a.file, 0, a.symbol,
-                    f"allowlist entry ({a.rule}, {a.symbol}) "
-                    "suppressed nothing: remove it (reason given "
-                    f"was: {a.why})"))
-
     # ---- entry point --------------------------------------------------
 
     def run(self) -> list[Finding]:
-        self.analysis.run()     # hot closure; its findings are
-        # check_hotgraph's business, not ours
+        if self.analysis.reachable_functions is None:
+            raise RuntimeError("StateAudit.run() needs a completed "
+                               "Analysis.run(): the host-taint rule "
+                               "reads its hot closure")
         self._collect_classes()
         self.classes_by_name = {ac.name: ac
                                 for ac in self.classes.values()}
@@ -789,9 +784,8 @@ class StateAudit:
             self._check_reset(ac)
         self._check_host_taint()
         self._check_certificate()
-        self._check_stale_allowlist()
-        self.findings.sort(key=lambda f: (f.file, f.line, f.rule,
-                                          f.symbol))
+        self.findings = apply_allowlist(self.findings, self.allowlist,
+                                        RULE_STALE_ALLOW)
         return self.findings
 
     # ---- reports ------------------------------------------------------
@@ -852,6 +846,7 @@ class StateAudit:
 #: storageBits(); this map ties the source schema declarations (and
 #: through them the FDIP_STATE_ARCH census) to the certificate, so
 #: census <-> certificate <-> storageBits() is one closed chain.
+CLASS_TO_CERT_FILE = "tools/lint/hotgraph/statespace.py"
 CLASS_TO_CERT: dict[str, str] = {
     "fdip::Btb": "BTB",
     "fdip::Tage": "TAGE",
@@ -862,3 +857,41 @@ CLASS_TO_CERT: dict[str, str] = {
     "fdip::Cache": "L1I",
     "fdip::Backend": "decode queue",
 }
+
+
+def census_diff(golden: dict, current: dict) -> list[str]:
+    """Human-readable census drift (state-space growth must be a
+    reviewed diff, not a silent change)."""
+    problems: list[str] = []
+    for qname in sorted(set(golden) | set(current)):
+        if qname not in current:
+            problems.append(f"census: class {qname} vanished "
+                            "(golden lists it)")
+        elif qname not in golden:
+            problems.append(f"census: new audited class {qname} — "
+                            "review and regenerate the golden "
+                            "(--update-census)")
+        elif golden[qname] != current[qname]:
+            before = len(problems)
+            gm = golden[qname].get("members", {})
+            cm = current[qname].get("members", {})
+            for name in sorted(set(gm) | set(cm)):
+                if name not in cm:
+                    problems.append(f"census: {qname}::{name} "
+                                    "vanished")
+                elif name not in gm:
+                    problems.append(f"census: new member "
+                                    f"{qname}::{name} "
+                                    f"({cm[name].get('kind')})")
+                elif gm[name] != cm[name]:
+                    problems.append(
+                        f"census: {qname}::{name} changed "
+                        f"{gm[name]} -> {cm[name]}")
+            if golden[qname].get("schema") != \
+                    current[qname].get("schema"):
+                problems.append(f"census: schema of {qname} changed")
+            if len(problems) == before:
+                problems.append(f"census: {qname} drifted from the "
+                                "golden (regenerate with "
+                                "--update-census after review)")
+    return problems

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from lintlib import pp_number_end
+from lintlib import line_of, pp_number_end
 
 from .model import (CallSite, ClassInfo, FileIndex, FunctionInfo,
                     HotRegion, Include, MethodDecl, ProgramIndex)
@@ -84,10 +84,6 @@ def strip_code(text: str) -> str:
     return "\n".join(lines)
 
 
-def line_of(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
-
-
 def match_brace_span(text: str, open_pos: int) -> int | None:
     """End offset (exclusive) of the brace block opening at open_pos;
     None if it never closes. @p text must be stripped."""
@@ -138,14 +134,14 @@ ACCESS_SPECIFIERS = frozenset({"public", "private", "protected"})
 IDENT_RE = re.compile(r"[A-Za-z_]\w*$")
 
 HOT_TOKEN = "FDIP_HOT_PATH"
+HOT_TOKEN_RE = re.compile(rf"\b{HOT_TOKEN}\b")
 REGION_BEGIN_RE = re.compile(r"\bFDIP_HOT_REGION_BEGIN\s*\(\s*(\w+)\s*\)")
 REGION_END_RE = re.compile(r"\bFDIP_HOT_REGION_END\s*\(\s*(\w+)\s*\)")
 
 
 def find_regions(fi: FileIndex) -> None:
     """Populate @p fi.regions (and pairing problems) from the
-    FDIP_HOT_REGION markers in its stripped text. Shared by both
-    frontends so region spans never depend on the parser in use."""
+    FDIP_HOT_REGION markers in its stripped text."""
     marks = sorted(
         [(m.start(), m.end(), "begin", m.group(1))
          for m in REGION_BEGIN_RE.finditer(fi.text)] +
@@ -158,7 +154,7 @@ def find_regions(fi: FileIndex) -> None:
         elif not stack:
             fi.problems.append(
                 (line_of(fi.text, start),
-                 f"FDIP_HOT_REGION_END({name}) without BEGIN"))
+                 f"FDIP_HOT_REGION_END({name}) without a matching BEGIN"))
         else:
             open_end, open_name = stack.pop()
             if open_name != name:
@@ -346,12 +342,40 @@ class TextualFileParser:
 
             self.decl.append(tok)
             self.i += 1
+        self._check_annotations()
         return self.index
 
-    # ---------------- regions ----------------
+    # ---------------- annotations ----------------
+    # Both frontends take a file's regions and annotation problems from
+    # this parser, which reads every #if arm, so they never depend on
+    # the frontend (libclang sees only the arms the build compiles).
 
     def _find_regions(self) -> None:
         find_regions(self.index)
+
+    def _check_annotations(self) -> None:
+        """Every FDIP_HOT_PATH token must head a hot definition this
+        parser indexed: the next hot function's name must start on a
+        line reached from the token without crossing a ';', '{' or
+        '}'. A token on a declaration, or on a definition the parser
+        could not read, would leave a body the walk never checks."""
+        text = self.text
+        hot_lines = sorted(f.line for f in self.index.functions
+                           if f.is_hot)
+        starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        for tok in HOT_TOKEN_RE.finditer(text):
+            line = line_of(text, tok.start())
+            name_line = next((n for n in hot_lines if n >= line), None)
+            if name_line is not None and not any(
+                    c in text[tok.end():starts[name_line - 1]]
+                    for c in ";{}"):
+                continue
+            self.index.problems.append((
+                line,
+                "FDIP_HOT_PATH heads no hot function body in the index: "
+                "it annotates a declaration, or a definition the indexer "
+                "could not parse; annotate the definition so the closure "
+                "checks its body"))
 
     # ---------------- namespaces / enums / classes ----------------
 
@@ -545,8 +569,8 @@ class TextualFileParser:
         """Skips an operator declaration/definition conservatively:
         consumes through the parameter list, then lets the normal
         specifier walk classify body vs declaration. Operator bodies
-        are indexed (so check_hotpath-style bans still apply via the
-        annotation lint) but produce no named call edges."""
+        are indexed (so the bans still apply to a hot operator) but
+        produce no named call edges."""
         start = self.i
         self.i += 1
         # operator symbol tokens up to the parameter '('; operator()

@@ -11,8 +11,8 @@ skeleton, factored out once so a new lint is a consumer of the
 machinery rather than a copy of it.
 
 Consumers: check_sources.py, check_determinism.py,
-check_concurrency.py, check_hotpath.py (and run_lint_tests.py via
-those); hotgraph/textual.py shares its pp-number rule.
+check_concurrency.py and check_hotgraph.py (and run_lint_tests.py via
+those); hotgraph/textual.py shares its pp-number rule and line_of.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def stale_allowlist_findings(root: Path, *allowlists: set[str]
 
     A stale allowlist silently widens the escape hatch: a file can be
     renamed past its exception and carry the exception's name to a new
-    file later. Every lint with an allowlist runs this guard.
+    file later. Every lint with a file allowlist runs this guard
+    (check_hotgraph's entries name sites and expire on their own).
     """
     listed: set[str] = set()
     for allowlist in allowlists:

@@ -1,6 +1,6 @@
 // Clean hot-path fixture: annotated code that obeys every ban, plus
 // banned-looking constructs OUTSIDE the hot spans that must NOT fire
-// (false-positive regression for check_hotpath).
+// (false-positive regression for the hot-path bans).
 
 #include "util/good.h"
 
@@ -31,6 +31,24 @@ Widget::run()
     FDIP_HOT_REGION_END(tick_loop);
     values_.push_back(summary()); // cold teardown: allowed
 }
+
+// One definition per build, as in obs/trace_events.h's Tracer: the
+// compiler (and libclang) reads one #if arm, the builtin parser both.
+// Each annotation heads a hot definition, so neither frontend reports
+// the arm it skips.
+#if FDIP_ENABLE_TRACING
+FDIP_HOT_PATH bool
+traceOn(const int *sink)
+{
+    return sink != nullptr;
+}
+#else
+FDIP_HOT_PATH bool
+traceOn(const int *)
+{
+    return false;
+}
+#endif
 
 // An annotated declaration is a finding; a cold declaration is not.
 void coldHelper();

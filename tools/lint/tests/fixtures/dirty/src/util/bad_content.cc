@@ -15,8 +15,8 @@ namespace fixture
 void
 breakDeterminism()
 {
-    srand(42);                        // libc srand (sources + determinism)
-    int r = rand();                   // libc rand (sources + determinism)
+    srand(42);                        // libc srand (determinism)
+    int r = rand();                   // libc rand (determinism)
     std::random_device entropy;       // nondeterministic entropy source
     long now = time(nullptr);         // wall-clock time()
     long ticks = clock();             // wall-clock clock()

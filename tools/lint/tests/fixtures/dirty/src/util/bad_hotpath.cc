@@ -1,5 +1,5 @@
-// Dirty hot-path fixture: one planted violation per check_hotpath
-// ban, inside annotated spans, so the self-test can assert each rule
+// Dirty hot-path fixture: one planted violation per hot-path ban,
+// inside annotated spans, so the self-test can assert each rule
 // fires (false-negative regression).
 
 #include "util/bad_header.h"

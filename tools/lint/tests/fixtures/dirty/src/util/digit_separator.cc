@@ -18,7 +18,7 @@ constexpr std::uint64_t kMagic = 0x46444950'54524331ULL;
 int
 afterDigitSeparator()
 {
-    return rand();                    // libc rand (sources + determinism)
+    return rand();                    // libc rand (determinism)
 }
 
 long

@@ -1,6 +1,6 @@
 // Seeded violation: a FDIP_HOT_PATH function calls an *unannotated*
-// helper that allocates. check_hotpath.py alone cannot see this (the
-// banned operations sit in a body without the annotation); the
+// helper that allocates. A scan of annotated spans alone cannot see
+// this (the banned operations sit in a body without the annotation); the
 // closure analysis must report the helper as unannotated-reachable
 // AND surface its heap allocation and growing-container calls.
 #ifndef FDIP_UTIL_TABLE_H_

@@ -2,11 +2,11 @@
 """Self-tests for the lint suite (stdlib only, run by ctest + CI).
 
 A lint that silently stops firing is worse than no lint: the tree
-drifts while CI stays green. This suite runs all seven lint scripts
-(check_sources, check_determinism, check_concurrency, check_hotpath,
-check_hotgraph, check_statespace, check_trace) against known-good and
-known-bad fixture trees under tools/lint/tests/fixtures/ and asserts
-both directions:
+drifts while CI stays green. This suite runs all five lint scripts
+(check_sources, check_determinism, check_concurrency, check_hotgraph
+with its closure analysis and state audit, check_trace) against
+known-good and known-bad fixture trees under tools/lint/tests/fixtures/
+and asserts both directions:
 
   - the clean tree produces zero findings (false-positive regression),
   - every deliberately planted violation in the dirty tree is found
@@ -20,8 +20,10 @@ Run directly (`python3 run_lint_tests.py`) or via ctest
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -35,7 +37,6 @@ TRACES = FIXTURES / "traces"
 sys.path.insert(0, str(LINT_DIR))
 import check_concurrency  # noqa: E402
 import check_determinism  # noqa: E402
-import check_hotpath  # noqa: E402
 import check_sources  # noqa: E402
 import check_trace  # noqa: E402
 from hotgraph import textual as hg_textual  # noqa: E402
@@ -52,22 +53,29 @@ STATESPACE = FIXTURES / "statespace"
 NO_ALLOW: set[str] = set()
 
 
-def hotgraph_findings(tree: str, allowlist=(), include_exceptions=()):
-    """Rendered hotgraph findings for fixtures/hotgraph/<tree>,
-    with the repo allowlists replaced by the given ones."""
-    prog = hg_textual.index_tree(HOTGRAPH / tree)
-    analysis = Analysis(prog, allowlist=list(allowlist),
+def analyze(root: Path, allowlist=(), include_exceptions=()):
+    """A completed closure Analysis over the tree at @p root, with the
+    repo allowlists replaced by the given ones."""
+    analysis = Analysis(hg_textual.index_tree(root),
+                        allowlist=list(allowlist),
                         include_exceptions=list(include_exceptions))
-    return [f.render() for f in analysis.run()]
+    analysis.run()
+    return analysis
 
 
-def statespace_audit(tree: str, allowlist=()):
+def hotgraph_findings(root: Path, allowlist=(), include_exceptions=()):
+    """Rendered closure findings for the tree at @p root."""
+    return [f.render()
+            for f in analyze(root, allowlist, include_exceptions).findings]
+
+
+def statespace_audit(tree: str, allowlist=(), certificate=None,
+                     cert_classes=None):
     """A completed StateAudit over fixtures/statespace/<tree>, with
     the repo allowlist and certificate replaced by the given ones."""
     root = STATESPACE / tree
-    prog = hg_textual.index_tree(root)
-    audit = StateAudit(prog, root, allowlist=list(allowlist),
-                       certificate=None)
+    audit = StateAudit(analyze(root), root, allowlist=list(allowlist),
+                       certificate=certificate, cert_classes=cert_classes)
     audit.run()
     return audit
 
@@ -114,13 +122,11 @@ class CleanTreeIsClean(LintAssertions):
                 thread_local_allowlist=NO_ALLOW),
             [])
 
-    def test_check_hotpath(self):
+    def test_check_hotgraph(self):
         # good_hotpath.cc keeps banned-looking tokens outside the hot
         # spans (cold reserve/push_back, string-literal mentions); none
         # may fire.
-        self.assertEqual(
-            check_hotpath.collect_findings(CLEAN, hot_allowlist=NO_ALLOW),
-            [])
+        self.assertEqual(hotgraph_findings(CLEAN), [])
 
 
 class DirtyTreeIsCaught(LintAssertions):
@@ -135,14 +141,9 @@ class DirtyTreeIsCaught(LintAssertions):
         cls.concurrency = check_concurrency.collect_findings(
             DIRTY, primitive_allowlist=NO_ALLOW,
             static_allowlist=NO_ALLOW, thread_local_allowlist=NO_ALLOW)
-        cls.hotpath = check_hotpath.collect_findings(
-            DIRTY, hot_allowlist=NO_ALLOW)
+        cls.hotgraph = hotgraph_findings(DIRTY)
 
     # --- check_sources rules -----------------------------------------
-    def test_libc_rand(self):
-        self.assertFinding(self.sources, "src/util/bad_content.cc",
-                           "rand()/srand() is banned", count=2)
-
     def test_raw_new(self):
         self.assertFinding(self.sources, "src/util/bad_content.cc",
                            "raw `new` is banned", count=1)
@@ -158,12 +159,6 @@ class DirtyTreeIsCaught(LintAssertions):
     def test_self_contained(self):
         self.assertFinding(self.sources, "src/util/bad_header.h",
                            "not self-contained")
-
-    def test_code_after_digit_separator(self):
-        # The separator in 0x46444950'54524331ULL is no char-literal
-        # quote: the code after it is still linted.
-        self.assertFinding(self.sources, "src/util/digit_separator.cc",
-                           "rand()/srand() is banned", count=1)
 
     # --- check_determinism rules -------------------------------------
     def test_det_rand(self):
@@ -189,6 +184,13 @@ class DirtyTreeIsCaught(LintAssertions):
     def test_getenv(self):
         self.assertFinding(self.determinism, "src/util/bad_content.cc",
                            "getenv() is banned", count=1)
+
+    def test_code_after_digit_separator(self):
+        # The separator in 0x46444950'54524331ULL is no char-literal
+        # quote: the code after it is still linted.
+        self.assertFinding(self.determinism,
+                           "src/util/digit_separator.cc",
+                           "rand()/srand() is banned", count=1)
 
     def test_code_between_prefixed_char_literals(self):
         # u8'x' is a char literal, not a digit separator after "u8".
@@ -243,51 +245,51 @@ class DirtyTreeIsCaught(LintAssertions):
         self.assertFinding(self.concurrency, "src/util/bad_sync.cc",
                            "thread_local is ambient", count=1)
 
-    # --- check_hotpath rules -----------------------------------------
+    # --- hot-path bans and annotations (check_hotgraph) --------------
     def test_hot_raw_new(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "heap allocation (`new`)", count=1)
 
     def test_hot_make_unique(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "make_unique/make_shared", count=1)
 
     def test_hot_growing_container(self):
         # One push_back in a hot function, one inside a hot region.
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "growing std-container", count=2)
 
     def test_hot_string(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "std::string construction", count=1)
 
     def test_hot_function_callable(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "std::function is banned", count=1)
 
     def test_hot_throw(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "`throw` is banned", count=1)
 
     def test_hot_printf(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "iostream/printf formatting", count=1)
 
     def test_hot_lock(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "lock acquisition", count=1)
 
     def test_hot_annotated_declaration(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "annotates a declaration", count=1)
 
     def test_hot_region_end_without_begin(self):
-        self.assertFinding(self.hotpath, "src/util/bad_hotpath.cc",
+        self.assertFinding(self.hotgraph, "src/util/bad_hotpath.cc",
                            "without a matching BEGIN", count=1)
 
     def test_hot_region_name_mismatch(self):
         self.assertFinding(
-            self.hotpath, "src/util/bad_hotpath.cc",
+            self.hotgraph, "src/util/bad_hotpath.cc",
             "FDIP_HOT_REGION_END(beta) closes "
             "FDIP_HOT_REGION_BEGIN(alpha)", count=1)
 
@@ -336,20 +338,6 @@ class AllowlistGuards(LintAssertions):
         self.assertIn("src/obs/tick_profiler.cc",
                       check_determinism.WALLCLOCK_ALLOWLIST)
 
-    def test_hotpath_stale_entry(self):
-        findings = check_hotpath.collect_findings(
-            CLEAN, hot_allowlist={"src/util/missing_hot.cc"})
-        self.assertFinding(findings, "src/util/missing_hot.cc",
-                           "allowlisted file does not exist", count=1)
-
-    def test_hotpath_allowlisted_violation_is_silent(self):
-        findings = check_hotpath.collect_findings(
-            DIRTY, hot_allowlist={"src/util/bad_hotpath.cc"})
-        self.assertEqual(
-            [f for f in findings
-             if f.startswith("src/util/bad_hotpath.cc")],
-            [])
-
 
 class HotgraphClosure(LintAssertions):
     """check_hotgraph's closure walk: each seeded violation class in
@@ -357,28 +345,28 @@ class HotgraphClosure(LintAssertions):
     closure, sealed dispatch, region use) stays silent."""
 
     def test_clean_tree_is_clean(self):
-        self.assertEqual(hotgraph_findings("clean"), [])
+        self.assertEqual(hotgraph_findings(HOTGRAPH / "clean"), [])
 
     def test_transitive_alloc_unannotated_helper(self):
-        findings = hotgraph_findings("dirty-transitive-alloc")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-transitive-alloc")
         self.assertFinding(findings, "src/util/table.h",
                            "fdip::Table::append is reachable", count=1)
 
     def test_transitive_alloc_banned_ops_in_callee(self):
-        findings = hotgraph_findings("dirty-transitive-alloc")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-transitive-alloc")
         self.assertFinding(findings, "src/util/table.h",
                            "growing std-container", count=1)
         self.assertFinding(findings, "src/util/table.h",
                            "heap allocation (`new`)", count=1)
 
     def test_transitive_alloc_reports_discovery_chain(self):
-        findings = hotgraph_findings("dirty-transitive-alloc")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-transitive-alloc")
         self.assertFinding(
             findings, "src/util/table.h",
             "via fdip::Table::record -> fdip::Table::append")
 
     def test_hidden_lock_two_calls_deep(self):
-        findings = hotgraph_findings("dirty-hidden-lock")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-hidden-lock")
         self.assertFinding(findings, "src/util/gate.h",
                            "fdip::Gate::guard is reachable", count=1)
         # std::lock_guard and the std::mutex template argument both
@@ -387,7 +375,7 @@ class HotgraphClosure(LintAssertions):
                            "lock acquisition", count=2)
 
     def test_nonfinal_virtual_dispatch(self):
-        findings = hotgraph_findings("dirty-nonfinal-virtual")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-nonfinal-virtual")
         self.assertFinding(findings, "src/util/port.h",
                            "fdip::Port::push may dispatch virtually",
                            count=1)
@@ -395,18 +383,18 @@ class HotgraphClosure(LintAssertions):
         self.assertEqual(len(findings), 1, "\n".join(findings))
 
     def test_layering_upward_include(self):
-        findings = hotgraph_findings("dirty-layering")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-layering")
         self.assertFinding(findings, "src/obs/probe.h",
                            "upward include", count=1)
 
     def test_layering_same_rank_include(self):
-        findings = hotgraph_findings("dirty-layering")
+        findings = hotgraph_findings(HOTGRAPH / "dirty-layering")
         self.assertFinding(findings, "src/trace/peek.h",
                            "same-rank cross-module include", count=1)
 
     def test_stale_allow_entry_is_a_finding(self):
         findings = hotgraph_findings(
-            "dirty-stale-allowlist",
+            HOTGRAPH / "dirty-stale-allowlist",
             allowlist=[AllowEntry(RULE_UNANNOTATED, "src/util/calm.h",
                                   "fdip::gone", "obsolete")])
         self.assertFinding(findings, "src/util/calm.h",
@@ -414,7 +402,7 @@ class HotgraphClosure(LintAssertions):
 
     def test_stale_include_exception_is_a_finding(self):
         findings = hotgraph_findings(
-            "dirty-stale-allowlist",
+            HOTGRAPH / "dirty-stale-allowlist",
             include_exceptions=[IncludeException(
                 "src/util/calm.h", "core", "obsolete")])
         self.assertFinding(findings, "src/util/calm.h",
@@ -422,7 +410,7 @@ class HotgraphClosure(LintAssertions):
 
     def test_allowlisted_virtual_site_is_silent(self):
         findings = hotgraph_findings(
-            "dirty-nonfinal-virtual",
+            HOTGRAPH / "dirty-nonfinal-virtual",
             allowlist=[AllowEntry(RULE_VIRTUAL, "src/util/port.h",
                                   "fdip::Port::push", "fixture")])
         self.assertEqual(
@@ -431,11 +419,20 @@ class HotgraphClosure(LintAssertions):
         self.assertEqual(
             [f for f in findings if RULE_STALE_ALLOW in f], [])
 
-    def test_json_report_schema(self):
-        prog = hg_textual.index_tree(HOTGRAPH / "dirty-transitive-alloc")
+    def test_annotation_in_a_skipped_if_arm_is_not_a_finding(self):
+        # libclang indexes only the #if arm the build compiles. Drop
+        # the other traceOn arm from the builtin index, as libclang
+        # would, and the annotation rule must still find nothing.
+        prog = hg_textual.index_tree(CLEAN)
+        fi = prog.files["src/util/good_hotpath.cc"]
+        arms = [f for f in fi.functions if f.name == "traceOn"]
+        self.assertEqual(len(arms), 2)      # the builtin reads both
+        fi.functions.remove(arms[1])
         analysis = Analysis(prog, allowlist=[], include_exceptions=[])
-        analysis.run()
-        doc = analysis.to_json()
+        self.assertEqual([f.render() for f in analysis.run()], [])
+
+    def test_json_report_schema(self):
+        doc = analyze(HOTGRAPH / "dirty-transitive-alloc").to_json()
         self.assertEqual(doc["schema"], "hot-callgraph-v1")
         self.assertEqual(doc["backend"], "builtin")
         self.assertEqual(doc["findings"], len(doc["findingList"]))
@@ -444,12 +441,22 @@ class HotgraphClosure(LintAssertions):
 
 
 class StateSpaceAudit(LintAssertions):
-    """check_statespace's three rule families over the statespace
+    """The state audit's three rule families over the statespace
     fixture trees, both directions (clean tree silent, every planted
-    violation found), plus allowlist staleness and the JSON report."""
+    violation found), plus allowlist staleness, the certificate
+    cross-check and the JSON report."""
 
     def test_clean_tree_is_clean(self):
         self.assertEqual(statespace_findings("clean"), [])
+
+    def test_audit_needs_a_walked_closure(self):
+        # The host-taint rule reads the closure walk; an audit over an
+        # analysis that never ran would pass on an empty closure.
+        root = STATESPACE / "clean"
+        audit = StateAudit(Analysis(hg_textual.index_tree(root)), root,
+                           allowlist=[])
+        with self.assertRaises(RuntimeError):
+            audit.run()
 
     def test_ghost_claim_of_undeclared_field(self):
         findings = statespace_findings("dirty-ghost-member")
@@ -509,6 +516,22 @@ class StateSpaceAudit(LintAssertions):
                                   "fdip::Calm::gone_", "obsolete")])
         self.assertFinding(findings, "src/bpu/calm.h",
                            "suppressed nothing", count=1)
+
+    def test_every_mapped_class_must_cross_check(self):
+        cert = {"configs": [{"name": "paper-baseline", "structures": [
+            {"name": "TINY", "bits": 500, "fields": [
+                {"field": "valid"}, {"field": "tag"},
+                {"field": "fold4"}]}]}]}
+        audit = statespace_audit(
+            "clean", certificate=cert,
+            cert_classes={"fdip::Tiny": "TINY", "fdip::Gone": "GONE"})
+        findings = [f.render() for f in audit.findings]
+        self.assertFinding(findings, "tools/lint/hotgraph/statespace.py",
+                           "fdip::Gone maps to certificate structure "
+                           "'GONE'", count=1)
+        self.assertEqual(len(findings), 1, "\n".join(findings))
+        self.assertEqual(audit.classes["fdip::Tiny"].certificate_bits,
+                         500)
 
     def test_json_report_schema(self):
         audit = statespace_audit("clean")
@@ -593,31 +616,29 @@ class CliExitCodes(LintAssertions):
             self.run_script("check_concurrency.py", "--root", str(DIRTY)),
             1)
 
-    def test_check_hotpath_cli(self):
-        # check_hotpath's default allowlist is empty, so both fixture
-        # trees run under production settings.
-        self.assertEqual(
-            self.run_script("check_hotpath.py", "--root", str(CLEAN)), 0)
-        self.assertEqual(
-            self.run_script("check_hotpath.py", "--root", str(DIRTY)), 1)
-
     def test_check_hotgraph_cli(self):
-        # --bare replaces the repo allowlist (whose entries name repo
-        # files, so they would all be stale on a fixture tree).
-        self.assertEqual(
-            self.run_script("check_hotgraph.py", "--bare",
-                            "--root", str(HOTGRAPH / "clean")), 0)
-        self.assertEqual(
-            self.run_script("check_hotgraph.py", "--bare", "--root",
-                            str(HOTGRAPH / "dirty-transitive-alloc")), 1)
+        # --bare replaces the repo allowlists, include exceptions and
+        # certificate (whose entries name repo files, so they would all
+        # be stale on a fixture tree).
+        for tree, status in ((CLEAN, 0), (DIRTY, 1),
+                             (HOTGRAPH / "clean", 0),
+                             (HOTGRAPH / "dirty-transitive-alloc", 1),
+                             (STATESPACE / "clean", 0),
+                             (STATESPACE / "dirty-ghost-member", 1)):
+            with self.subTest(tree=str(tree.relative_to(FIXTURES))):
+                self.assertEqual(
+                    self.run_script("check_hotgraph.py", "--bare",
+                                    "--root", str(tree)), status)
 
     def test_check_hotgraph_cli_staleness_without_bare(self):
-        # Without --bare the production allowlist applies; on a
+        # Without --bare the production allowlists apply; on a
         # fixture tree every entry is unused, so the staleness guard
         # itself must fail the run.
-        self.assertEqual(
-            self.run_script("check_hotgraph.py",
-                            "--root", str(HOTGRAPH / "clean")), 1)
+        for tree in (HOTGRAPH / "clean", STATESPACE / "clean"):
+            with self.subTest(tree=str(tree.relative_to(FIXTURES))):
+                self.assertEqual(
+                    self.run_script("check_hotgraph.py",
+                                    "--root", str(tree)), 1)
 
     def test_check_hotgraph_cli_unavailable_frontend(self):
         # Exit 2 distinguishes "frontend missing" from findings; only
@@ -632,57 +653,32 @@ class CliExitCodes(LintAssertions):
                             "--bare",
                             "--root", str(HOTGRAPH / "clean")), 2)
 
-    def test_check_statespace_cli(self):
-        # --bare replaces the repo allowlist and certificate (whose
-        # entries/classes name repo files, stale on a fixture tree).
-        self.assertEqual(
-            self.run_script("check_statespace.py", "--bare",
-                            "--root", str(STATESPACE / "clean")), 0)
-        self.assertEqual(
-            self.run_script("check_statespace.py", "--bare", "--root",
-                            str(STATESPACE / "dirty-ghost-member")), 1)
-
-    def test_check_statespace_cli_staleness_without_bare(self):
-        # Without --bare the production allowlist applies; on a
-        # fixture tree every entry is unused, so the staleness guard
-        # itself must fail the run.
-        self.assertEqual(
-            self.run_script("check_statespace.py",
-                            "--root", str(STATESPACE / "clean")), 1)
-
-    def test_check_statespace_cli_census_roundtrip(self):
-        import tempfile
+    def test_check_hotgraph_cli_census_and_json(self):
+        clean = ["--bare", "--root", str(STATESPACE / "clean")]
         with tempfile.TemporaryDirectory() as td:
-            golden = str(Path(td) / "census.json")
+            golden = Path(td) / "census.json"
+            report = Path(td) / "report.json"
             self.assertEqual(
-                self.run_script("check_statespace.py", "--bare",
-                                "--root", str(STATESPACE / "clean"),
-                                "--update-census", golden), 0)
+                self.run_script("check_hotgraph.py", *clean,
+                                "--update-census", str(golden),
+                                "--json", str(report)), 0)
+            # One file carries both reports, each under its schema.
+            doc = json.loads(report.read_text())
+            self.assertEqual(doc["hotCallgraph"]["schema"],
+                             "hot-callgraph-v1")
+            self.assertEqual(doc["stateAudit"]["schema"],
+                             "state-audit-v1")
             # Same tree vs. its own census: clean.
             self.assertEqual(
-                self.run_script("check_statespace.py", "--bare",
-                                "--root", str(STATESPACE / "clean"),
-                                "--census-golden", golden), 0)
+                self.run_script("check_hotgraph.py", *clean,
+                                "--census-golden", str(golden)), 0)
             # Drifted census (a member vanishes): the diff must fail.
-            import json
-            doc = json.loads(Path(golden).read_text())
+            doc = json.loads(golden.read_text())
             del doc["fdip::Tiny"]["members"]["hits_"]
-            Path(golden).write_text(json.dumps(doc))
+            golden.write_text(json.dumps(doc))
             self.assertEqual(
-                self.run_script("check_statespace.py", "--bare",
-                                "--root", str(STATESPACE / "clean"),
-                                "--census-golden", golden), 1)
-
-    def test_check_statespace_cli_unavailable_frontend(self):
-        try:
-            import clang.cindex  # noqa: F401
-            self.skipTest("clang.cindex installed; frontend available")
-        except ImportError:
-            pass
-        self.assertEqual(
-            self.run_script("check_statespace.py", "--frontend=clang",
-                            "--bare",
-                            "--root", str(STATESPACE / "clean")), 2)
+                self.run_script("check_hotgraph.py", *clean,
+                                "--census-golden", str(golden)), 1)
 
     def test_check_trace_cli(self):
         self.assertEqual(

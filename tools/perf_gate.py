@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Host-throughput regression gate for the bench campaigns.
 
-The hot-path discipline (src/util/hotpath.h, check_hotpath.py, the
+The hot-path discipline (src/util/hotpath.h, check_hotgraph.py, the
 steady-state allocation test) exists to protect one number: simulated
 instructions per host second, which bounds how many figure campaigns
 the lab can run. This gate closes the loop by measuring it.
