@@ -3,8 +3,9 @@
  * Google-benchmark microbenchmarks of the core structures: TAGE
  * prediction/update, BTB lookup, history push/snapshot and rewind,
  * cache and ITLB access, the EIP prefetcher's demand lookup, FTQ
- * operations, end-to-end simulated instruction throughput, and the
- * campaign manifest's trace digest.
+ * operations, end-to-end simulated instruction throughput, trace
+ * generation, program-image reads and the campaign manifest's trace
+ * digest.
  */
 
 #include <benchmark/benchmark.h>
@@ -257,6 +258,32 @@ BM_TraceGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
+
+void
+BM_ImageInstAt(benchmark::State &state)
+{
+    // One instAt per iteration over a server trace's PCs in trace
+    // order, the pattern Frontend::scanInst reads the image in. The
+    // sink sums each instruction's class and target so no read is
+    // elided.
+    const auto wl =
+        std::make_shared<Workload>(buildWorkload(serverSpec("srv", 101)));
+    const Trace trace = generateTrace(wl, 200000);
+    std::vector<Addr> pcs(trace.size());
+    for (std::size_t k = 0; k < trace.size(); ++k)
+        pcs[k] = trace.pcOf(k);
+    const ProgramImage &image = trace.image();
+    Addr sink = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const StaticInst &si = image.instAt(pcs[i]);
+        sink += static_cast<Addr>(si.cls) + si.target;
+        i = i + 1 == pcs.size() ? 0 : i + 1;
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ImageInstAt);
 
 void
 BM_TraceDigest(benchmark::State &state)

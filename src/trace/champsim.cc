@@ -268,12 +268,13 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
     // instance seen at each ip (plus taken-target discovery). Slots
     // not covered by any ip stay as non-branch filler.
     std::vector<bool> emitted(image_slots, false);
+    img.reserve(image_slots, 0);
     for (std::uint32_t i = 0; i < image_slots; ++i)
         img.append(StaticInst{});
     for (std::size_t i = 0; i < recs.size(); ++i) {
         const ChampSimRecord &r = recs[i];
         const std::uint32_t idx = index_of[r.ip];
-        StaticInst &s = img.instMutable(idx);
+        StaticInst s = img.inst(idx);
         const bool is_load = r.sourceMemory[0] != 0;
         const bool is_store = r.destinationMemory[0] != 0;
         if (!emitted[idx]) {
@@ -289,6 +290,7 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
             if (it != index_of.end())
                 s.target = img.pcOf(it->second);
         }
+        img.set(idx, s);
     }
 
     workload->entryPc = img.pcOf(index_of[recs.front().ip]);
@@ -310,15 +312,16 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
             have_next ? index_of[recs[i + 1].ip] : idx + 1;
         const bool adjacent = !have_next || next_idx == idx + 1;
 
-        if (!isBranch(img.inst(idx).cls) && !adjacent) {
+        StaticInst s = img.inst(idx);
+        if (!isBranch(s.cls) && !adjacent) {
             // Sequential flow that is not adjacent after renormalizing
             // (an x86 path this fixed-width image cannot express):
             // re-class the slot as an indirect jump so the replayed
             // control flow stays connected. Earlier dynamic instances
             // of this slot keep taken=0 and remain consistent.
-            img.instMutable(idx).cls = InstClass::kJumpIndirect;
+            s.cls = InstClass::kJumpIndirect;
+            img.set(idx, s);
         }
-        const StaticInst &s = img.inst(idx);
 
         if (isBranch(s.cls)) {
             d.taken = r.branchTaken;

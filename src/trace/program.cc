@@ -1,5 +1,7 @@
 #include "trace/program.h"
 
+#include <algorithm>
+
 #include "util/hotpath.h"
 #include "util/log.h"
 
@@ -28,30 +30,65 @@ ProgramImage::ProgramImage(Addr base)
 {
     if (base_ % kFetchBlockBytes != 0)
         fdip_fatal("program base %#lx must be 32B aligned", base_);
-    filler_.cls = InstClass::kAlu;
 }
 
-FDIP_HOT_PATH const StaticInst &
-ProgramImage::instAt(Addr pc) const
+ProgramImage::Slot
+ProgramImage::encode(std::uint32_t index, const StaticInst &inst)
 {
-    if (!contains(pc))
-        return filler_;
-    return insts_[indexOf(pc)];
+    auto it = std::lower_bound(far_.begin(), far_.end(),
+                               std::pair<std::uint32_t, Addr>{index, 0});
+    if (it != far_.end() && it->first == index)
+        it = far_.erase(it);
+
+    Slot s{inst.cls, inst.behavior, inst.param, kNoTarget};
+    if (inst.target == kNoAddr)
+        return s;
+    const Addr off = inst.target - base_;
+    if (inst.target >= base_ && off % kInstBytes == 0 &&
+        off / kInstBytes < kFarTarget) {
+        s.target = static_cast<std::uint32_t>(off / kInstBytes);
+    } else {
+        s.target = kFarTarget;
+        far_.insert(it, {index, inst.target});
+    }
+    return s;
+}
+
+FDIP_HOT_PATH Addr
+ProgramImage::farTarget(std::uint32_t index) const
+{
+    return std::lower_bound(far_.begin(), far_.end(),
+                            std::pair<std::uint32_t, Addr>{index, 0})
+        ->second;
+}
+
+void
+ProgramImage::set(std::uint32_t index, const StaticInst &inst)
+{
+    slots_[index] = encode(index, inst);
 }
 
 std::uint32_t
 ProgramImage::append(const StaticInst &inst)
 {
-    insts_.push_back(inst);
-    return static_cast<std::uint32_t>(insts_.size() - 1);
+    const auto index = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(encode(index, inst));
+    return index;
+}
+
+void
+ProgramImage::reserve(std::size_t num_insts, std::size_t num_functions)
+{
+    slots_.reserve(num_insts);
+    functions_.reserve(num_functions);
 }
 
 void
 ProgramImage::addFunction(std::uint32_t first_index, std::uint32_t count)
 {
-    if (first_index + count > insts_.size())
+    if (first_index + count > slots_.size())
         fdip_panic("function [%u, %u) exceeds image size %zu", first_index,
-                   first_index + count, insts_.size());
+                   first_index + count, slots_.size());
     functions_.push_back({first_index, count});
 }
 
@@ -59,7 +96,7 @@ std::size_t
 ProgramImage::numBranches() const
 {
     std::size_t n = 0;
-    for (const auto &i : insts_)
+    for (const Slot &i : slots_)
         if (isBranch(i.cls))
             ++n;
     return n;
@@ -69,7 +106,7 @@ std::size_t
 ProgramImage::numLikelyTakenBranches() const
 {
     std::size_t n = 0;
-    for (const auto &i : insts_) {
+    for (const Slot &i : slots_) {
         if (!isBranch(i.cls))
             continue;
         if (isConditional(i.cls) && i.behavior == BranchBehavior::kBiased &&

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/inst.h"
@@ -33,6 +34,12 @@ struct FunctionInfo
 
 /**
  * A contiguous program image starting at a base address.
+ *
+ * Each instruction is stored as one 8-byte slot whose direct target is
+ * a slot index. A far target, one with no such index (unaligned, below
+ * the base, or past index 2^32 - 3; generated and imported images have
+ * none), lives in a side list keyed by slot, so every StaticInst reads
+ * back exactly as it was stored.
  */
 class ProgramImage
 {
@@ -44,13 +51,13 @@ class ProgramImage
     Addr baseAddr() const { return base_; }
 
     /** Number of instructions in the image. */
-    std::size_t numInsts() const { return insts_.size(); }
+    std::size_t numInsts() const { return slots_.size(); }
 
     /** Code footprint in bytes. */
-    FDIP_HOT_PATH std::size_t footprintBytes() const { return insts_.size() * kInstBytes; }
+    FDIP_HOT_PATH std::size_t footprintBytes() const { return slots_.size() * kInstBytes; }
 
     /** Address of instruction @p index. */
-    Addr
+    FDIP_HOT_PATH Addr
     pcOf(std::uint32_t index) const
     {
         return base_ + static_cast<Addr>(index) * kInstBytes;
@@ -72,23 +79,43 @@ class ProgramImage
     }
 
     /** Instruction at @p index. */
-    const StaticInst &inst(std::uint32_t index) const
+    FDIP_HOT_PATH StaticInst
+    inst(std::uint32_t index) const
     {
-        return insts_[index];
+        const Slot s = slots_[index];
+        StaticInst si;
+        si.cls = s.cls;
+        si.behavior = s.behavior;
+        si.param = s.param;
+        // kNoAddr is all ones: OR-ing a mask keeps the read branch-free.
+        si.target = pcOf(s.target) | (Addr{0} - (s.target == kNoTarget));
+        if (s.target == kFarTarget) [[unlikely]]
+            si.target = farTarget(index);
+        return si;
     }
 
     /**
-     * Instruction at @p pc, or a synthetic non-branch filler when @p pc
-     * lies outside the image (wrong-path fetch may run past the text
-     * segment; real hardware would fetch whatever bytes are there).
+     * Instruction at @p pc, or StaticInst{} (a non-branch filler) when
+     * @p pc lies outside the image (wrong-path fetch may run past the
+     * text segment; real hardware would fetch whatever bytes are there).
      */
-    const StaticInst &instAt(Addr pc) const;
+    FDIP_HOT_PATH StaticInst
+    instAt(Addr pc) const
+    {
+        if (!contains(pc))
+            return StaticInst{};
+        return inst(indexOf(pc));
+    }
 
-    /** Mutable access for the builder. */
-    StaticInst &instMutable(std::uint32_t index) { return insts_[index]; }
+    /** Replaces instruction @p index (for builders and tests). */
+    void set(std::uint32_t index, const StaticInst &inst);
 
     /** Appends an instruction, returning its index. */
     std::uint32_t append(const StaticInst &inst);
+
+    /** Makes room for an image built to a known size, so appending up
+     *  to it never copies the image or leaves spare capacity. */
+    void reserve(std::size_t num_insts, std::size_t num_functions);
 
     /** Registers a function spanning [first, first + count). */
     void addFunction(std::uint32_t first_index, std::uint32_t count);
@@ -103,11 +130,36 @@ class ProgramImage
      *  biased not-taken (rough BTB footprint estimate). */
     std::size_t numLikelyTakenBranches() const;
 
+    /** Number of far targets, kept in the side list. */
+    std::size_t numFarTargets() const { return far_.size(); }
+
   private:
+    /** One stored instruction; target is a slot index or a sentinel. */
+    struct Slot
+    {
+        InstClass cls;
+        BranchBehavior behavior;
+        std::uint16_t param;
+        std::uint32_t target;
+    };
+    static_assert(sizeof(Slot) == 8, "an image slot is 8 bytes");
+
+    /** Slot::target of an instruction without a direct target. */
+    static constexpr std::uint32_t kNoTarget = 0xffffffffu;
+    static_assert(kNoAddr == ~Addr{0}, "inst() builds kNoAddr as a mask");
+    /** Slot::target of a far target, kept in far_. */
+    static constexpr std::uint32_t kFarTarget = 0xfffffffeu;
+
+    /** Encodes @p inst for slot @p index, updating far_. */
+    Slot encode(std::uint32_t index, const StaticInst &inst);
+
+    /** Side-list target of slot @p index. */
+    Addr farTarget(std::uint32_t index) const;
+
     Addr base_;
-    std::vector<StaticInst> insts_;
+    std::vector<Slot> slots_;
+    std::vector<std::pair<std::uint32_t, Addr>> far_; ///< Sorted by slot.
     std::vector<FunctionInfo> functions_;
-    StaticInst filler_; ///< Returned for out-of-image PCs.
 };
 
 } // namespace fdip

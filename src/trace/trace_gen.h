@@ -42,7 +42,7 @@ struct Trace
     }
 
     /** Static instruction of dynamic instruction @p i. */
-    const StaticInst &
+    FDIP_HOT_PATH StaticInst
     staticOf(std::size_t i) const
     {
         return image().inst(insts[i].staticIndex);

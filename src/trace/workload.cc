@@ -268,6 +268,7 @@ buildWorkload(const WorkloadSpec &spec)
         entries[f] = cursor;
         cursor += sizes[f];
     }
+    wl.image.reserve(cursor, n + 1);
 
     // ---- Pass 2: acyclic call graph (function f calls only functions
     // with larger index), so recursion never occurs and dynamic call

@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "util/bits.h"
+#include "util/rng.h"
+
 namespace fdip
 {
 namespace
@@ -164,6 +174,216 @@ TEST_P(BtbCapacity, HoldsWorkingSetWithinCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BtbCapacity,
                          ::testing::Values(1024, 2048, 8192, 32768));
+
+/**
+ * Reference model: a list-LRU BTB. Each set is a list of its resident
+ * branches, most recently used first, searched by a linear scan. The
+ * set is the documented 16-byte-chunk hash: the chunk number pc >> 4
+ * XOR-ed with itself shifted right by log2(sets), modulo the set count.
+ */
+class ListLruBtb
+{
+  public:
+    explicit ListLruBtb(const BtbConfig &cfg)
+        : cfg_(cfg), sets_(cfg.numEntries / cfg.ways)
+    {
+    }
+
+    std::size_t
+    setOf(Addr pc) const
+    {
+        const std::uint64_t chunk = pc >> 4;
+        return (chunk ^ (chunk >> floorLog2(sets_.size()))) %
+               sets_.size();
+    }
+
+    /** A hit moves the branch to the front. */
+    std::optional<BtbHit>
+    lookup(Addr pc)
+    {
+        ++lookups;
+        std::list<Entry> &set = sets_[setOf(pc)];
+        const auto it = find(set, pc);
+        if (it == set.end())
+            return std::nullopt;
+        ++hits;
+        set.splice(set.begin(), set, it);
+        return it->hit;
+    }
+
+    std::optional<BtbHit>
+    peek(Addr pc) const
+    {
+        const std::list<Entry> &set = sets_[setOf(pc)];
+        const auto it = std::find_if(
+            set.begin(), set.end(),
+            [pc](const Entry &e) { return e.pc == pc; });
+        if (it == set.end())
+            return std::nullopt;
+        return it->hit;
+    }
+
+    void
+    install(Addr pc, InstClass kind, Addr target, bool taken)
+    {
+        std::list<Entry> &set = sets_[setOf(pc)];
+        const auto it = find(set, pc);
+        if (it != set.end()) {
+            it->hit = BtbHit{kind, target};
+            set.splice(set.begin(), set, it);
+            return;
+        }
+        if (cfg_.allocateTakenOnly && !taken)
+            return;
+        ++allocations;
+        if (set.size() == cfg_.ways) {
+            ++evictions;
+            set.pop_back();
+        }
+        set.push_front(Entry{pc, BtbHit{kind, target}});
+    }
+
+    void
+    invalidate(Addr pc)
+    {
+        std::list<Entry> &set = sets_[setOf(pc)];
+        const auto it = find(set, pc);
+        if (it != set.end())
+            set.erase(it);
+    }
+
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Entry
+    {
+        Addr pc;
+        BtbHit hit;
+    };
+
+    static std::list<Entry>::iterator
+    find(std::list<Entry> &set, Addr pc)
+    {
+        return std::find_if(set.begin(), set.end(),
+                            [pc](const Entry &e) { return e.pc == pc; });
+    }
+
+    BtbConfig cfg_;
+    std::vector<std::list<Entry>> sets_;
+};
+
+struct BtbLockstepParam
+{
+    const char *name;
+    unsigned ways;
+    bool takenOnly;
+};
+
+void
+PrintTo(const BtbLockstepParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+class BtbLockstep : public ::testing::TestWithParam<BtbLockstepParam>
+{
+};
+
+/** Same hit or miss, and on a hit the same kind and target. */
+::testing::AssertionResult
+sameHit(const std::optional<BtbHit> &got, const std::optional<BtbHit> &want)
+{
+    if (got.has_value() != want.has_value()) {
+        return ::testing::AssertionFailure()
+               << (got ? "hit" : "miss") << ", reference "
+               << (want ? "hit" : "miss");
+    }
+    if (got && (got->kind != want->kind || got->target != want->target)) {
+        return ::testing::AssertionFailure()
+               << "kind " << unsigned(got->kind) << " target " << std::hex
+               << got->target << ", reference kind "
+               << unsigned(want->kind) << " target " << want->target;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST_P(BtbLockstep, MatchesListLruReference)
+{
+    // Random lookup/peek/install/invalidate streams over branches
+    // crowded into three sets (twice the ways plus two per set, whole
+    // 16-byte chunks among them), so sets overflow and evict all the
+    // time. Every hit's kind and target and every counter must match
+    // the reference after every step.
+    BtbConfig cfg;
+    cfg.numEntries = 64;
+    cfg.ways = GetParam().ways;
+    cfg.allocateTakenOnly = GetParam().takenOnly;
+    Btb btb(cfg);
+    ListLruBtb ref(cfg);
+
+    const std::size_t crowded[] = {1, 2, btb.numSets() - 1};
+    std::vector<Addr> pcs;
+    for (std::size_t set : crowded) {
+        std::size_t n = 0;
+        for (Addr pc = 0x400000; n < 2 * cfg.ways + 2; pc += 4) {
+            ASSERT_EQ(btb.setIndexOf(pc), ref.setOf(pc)) << std::hex << pc;
+            if (ref.setOf(pc) == set) {
+                pcs.push_back(pc);
+                ++n;
+            }
+        }
+    }
+
+    Rng rng(cfg.ways * 2 + cfg.allocateTakenOnly);
+    for (int step = 0; step < 20000; ++step) {
+        const Addr pc = pcs[rng.below(pcs.size())];
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2:
+            ASSERT_TRUE(sameHit(btb.lookup(pc), ref.lookup(pc)))
+                << "lookup, step " << step;
+            break;
+          case 3:
+            ASSERT_TRUE(sameHit(btb.peek(pc), ref.peek(pc)))
+                << "peek, step " << step;
+            break;
+          case 4:
+          case 5:
+          case 6: {
+            const auto kind = static_cast<InstClass>(
+                unsigned(InstClass::kCondDirect) + rng.below(6));
+            const Addr target = 0x500000 + rng.below(1 << 16) * 4;
+            const bool taken = rng.below(2) == 0;
+            btb.install(pc, kind, target, taken);
+            ref.install(pc, kind, target, taken);
+            break;
+          }
+          default:
+            btb.invalidate(pc);
+            ref.invalidate(pc);
+            break;
+        }
+        ASSERT_EQ(btb.lookups(), ref.lookups) << "step " << step;
+        ASSERT_EQ(btb.hits(), ref.hits) << "step " << step;
+        ASSERT_EQ(btb.allocations(), ref.allocations) << "step " << step;
+        ASSERT_EQ(btb.evictions(), ref.evictions) << "step " << step;
+    }
+    EXPECT_GT(ref.evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, BtbLockstep,
+    ::testing::Values(BtbLockstepParam{"direct_taken_only", 1, true},
+                      BtbLockstepParam{"direct_all_branch", 1, false},
+                      BtbLockstepParam{"four_way_taken_only", 4, true},
+                      BtbLockstepParam{"four_way_all_branch", 4, false},
+                      BtbLockstepParam{"eight_way_taken_only", 8, true},
+                      BtbLockstepParam{"eight_way_all_branch", 8, false}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace
 } // namespace fdip

@@ -226,7 +226,9 @@ TEST(Frontend, CallReturnPredictedByRas)
     for (int a = 0; a < 10; ++a)
         mp.alu();
     mp.ret();
-    mp.workload().image.instMutable(call_idx).target = callee;
+    StaticInst call = mp.workload().image.inst(call_idx);
+    call.target = callee;
+    mp.workload().image.set(call_idx, call);
 
     const Trace t = mp.run(30000);
     const SimStats s = runTrace(t, paperBaselineConfig());
@@ -250,7 +252,9 @@ TEST(Frontend, BiasedBranchResolvesAtExecute)
     for (int a = 0; a < 4; ++a)
         mp.alu();
     mp.jump(top);
-    mp.workload().image.instMutable(br).target = join;
+    StaticInst cond = mp.workload().image.inst(br);
+    cond.target = join;
+    mp.workload().image.set(br, cond);
 
     const Trace t = mp.run(40000, [](std::uint32_t, std::uint64_t v) {
         return v % 8 == 7;

@@ -109,6 +109,8 @@ TEST(ChampSim, ExportImportRoundTripPreservesStream)
     }
     // Classes are identical because our exporter encodes them exactly.
     EXPECT_EQ(class_mismatch, 0u);
+    // Every discovered target is a slot of the image.
+    EXPECT_EQ(imported.image().numFarTargets(), 0u);
     std::remove(path.c_str());
 }
 

@@ -61,6 +61,8 @@ TEST_P(WorkloadFamily, DifferentSeedsDiffer)
 TEST_P(WorkloadFamily, AllBranchTargetsInsideImage)
 {
     const Workload wl = buildWorkload(spec());
+    // Every target is a slot index: nothing lands in the side list.
+    EXPECT_EQ(wl.image.numFarTargets(), 0u);
     for (std::uint32_t i = 0; i < wl.image.numInsts(); ++i) {
         const StaticInst &s = wl.image.inst(i);
         if (isBranch(s.cls) && isDirect(s.cls)) {

@@ -20,6 +20,7 @@ installed; check_hotgraph.py treats that as "frontend unavailable".
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 import clang.cindex as ci
@@ -27,7 +28,7 @@ import clang.cindex as ci
 from .compile_db import clang_args, load_compile_db
 from .model import (CallSite, ClassInfo, FileIndex, FunctionInfo,
                     MethodDecl, ProgramIndex)
-from .textual import TextualFileParser, line_of
+from .textual import TextualFileParser, char_offsets, line_of
 
 #: Candidate libclang locations probed when the default loading fails.
 _LIBCLANG_CANDIDATES = (
@@ -127,6 +128,8 @@ class _TreeIndexer:
         self.root = root.resolve()
         self.prog = ProgramIndex(backend="clang")
         self.raw: dict[str, str] = {}       # relpath -> raw text
+        # relpath -> libclang byte offset to offset into raw
+        self.chars: dict[str, Callable[[int], int]] = {}
         self._seen_funcs: set[tuple[str, int, str]] = set()
         self._seen_classes: set[str] = set()
 
@@ -149,6 +152,7 @@ class _TreeIndexer:
         if fi is None:
             raw = (self.root / rel).read_text(errors="replace")
             self.raw[rel] = raw
+            self.chars[rel] = char_offsets(raw)
             # Includes, regions and annotation problems come from the
             # structural parser, which reads the #if arms libclang
             # skips; libclang supplies functions, classes and calls.
@@ -185,13 +189,14 @@ class _TreeIndexer:
     def _decl_slice(self, cursor, rel: str,
                     end_offset: int | None = None) -> str:
         """Raw text of the declaration head (with one line of
-        lookback, so an annotation on the preceding line counts)."""
+        lookback, so an annotation on the preceding line counts).
+        @p end_offset is an offset into the raw text."""
         raw = self.raw[rel]
-        start = cursor.extent.start.offset
+        start = self.chars[rel](cursor.extent.start.offset)
         start = raw.rfind("\n", 0, max(0, raw.rfind("\n", 0, start)))
         start = 0 if start < 0 else start
         end = end_offset if end_offset is not None \
-            else cursor.extent.end.offset
+            else self.chars[rel](cursor.extent.end.offset)
         return raw[start:end]
 
     def _record_declaration(self, cursor, rel: str) -> None:
@@ -238,8 +243,8 @@ class _TreeIndexer:
         self._seen_funcs.add(key)
         fi = self._file_index(rel)
 
-        body_start = body.extent.start.offset
-        body_end = body.extent.end.offset
+        body_start = self.chars[rel](body.extent.start.offset)
+        body_end = self.chars[rel](body.extent.end.offset)
         head = self._decl_slice(cursor, rel, body_start)
         fn = FunctionInfo(
             qname=qname, name=cursor.spelling, file=rel, line=line,
@@ -262,8 +267,8 @@ class _TreeIndexer:
                      fi: FileIndex) -> None:
         callee = cursor.referenced
         raw = self.raw[fi.path]
-        start = cursor.extent.start.offset
-        end = cursor.extent.end.offset
+        start = self.chars[fi.path](cursor.extent.start.offset)
+        end = self.chars[fi.path](cursor.extent.end.offset)
         site_text = raw[start:end + 1]
         name = callee.spelling if callee is not None else cursor.spelling
         if not name or not name[0].isalpha() and name[0] != "_":

@@ -20,6 +20,9 @@ parser honest.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections.abc import Callable
+from itertools import accumulate
 from pathlib import Path
 
 from lintlib import line_of, pp_number_end
@@ -97,6 +100,17 @@ def match_brace_span(text: str, open_pos: int) -> int | None:
             if depth == 0:
                 return i + 1
     return None
+
+
+def char_offsets(text: str) -> Callable[[int], int]:
+    """Maps a byte offset into @p text's UTF-8 encoding (what libclang
+    reports) to the character offset into @p text that starts there.
+    The identity for ASCII text."""
+    if text.isascii():
+        return lambda offset: offset
+    # Byte offset of each character's start, then of the text's end.
+    starts = list(accumulate((len(c.encode()) for c in text), initial=0))
+    return lambda offset: bisect_left(starts, offset)
 
 
 # --------------------------------------------------------------------

@@ -431,6 +431,23 @@ class HotgraphClosure(LintAssertions):
         analysis = Analysis(prog, allowlist=[], include_exceptions=[])
         self.assertEqual([f.render() for f in analysis.run()], [])
 
+    def test_clang_byte_offsets_map_to_characters(self):
+        # libclang reports UTF-8 byte offsets and the clang frontend
+        # slices the decoded text: 2-, 3- and 4-byte characters before
+        # a body must not shift its span.
+        text = "// caf\u00e9 \u2264 \U0001d11e\nint f() { return 0; }\n"
+        to_char = hg_textual.char_offsets(text)
+        data = text.encode()
+        self.assertEqual(len(data) - len(text), 1 + 2 + 3)
+        for i in range(len(text) + 1):
+            self.assertEqual(to_char(len(text[:i].encode())), i)
+        body = slice(to_char(data.index(b"{")), to_char(data.index(b"}")))
+        self.assertEqual(text[body], "{ return 0; ")
+        ascii_text = "int g() { return 1; }"
+        to_char = hg_textual.char_offsets(ascii_text)
+        self.assertEqual([to_char(i) for i in range(len(ascii_text) + 1)],
+                         list(range(len(ascii_text) + 1)))
+
     def test_json_report_schema(self):
         doc = analyze(HOTGRAPH / "dirty-transitive-alloc").to_json()
         self.assertEqual(doc["schema"], "hot-callgraph-v1")
