@@ -253,7 +253,7 @@ BM_TraceGeneration(benchmark::State &state)
     auto wl = std::make_shared<Workload>(buildWorkload(s));
     for (auto _ : state) {
         const Trace t = generateTrace(wl, 100000);
-        benchmark::DoNotOptimize(t.insts.data());
+        benchmark::DoNotOptimize(t.insts.size());
     }
     state.SetItemsProcessed(state.iterations() * 100000);
 }

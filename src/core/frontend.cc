@@ -281,10 +281,9 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
     bool actual_taken = false;
     Addr actual_next = pc + kInstBytes;
     if (have_oracle) {
-        const DynInst &d = trace_.insts[tracePos_];
-        actual_taken = d.taken != 0;
+        actual_taken = trace_.taken(tracePos_);
         if (isBranch(si.cls) && actual_taken)
-            actual_next = d.info;
+            actual_next = trace_.nextPc(tracePos_);
     }
 
     // ---- Direction hint (EV8-style: hints exist for every slot; we
@@ -338,24 +337,21 @@ Frontend::scanInst(FtqEntry &entry, std::uint8_t offset, Cycle now)
     // ---- Oracle bookkeeping: training (once per trace position) and
     // divergence detection.
     if (have_oracle) {
-        const DynInst &d = trace_.insts[tracePos_];
         const bool first_visit = tracePos_ >= trainedUpTo_;
         if (first_visit) {
             trainedUpTo_ = tracePos_ + 1;
             if (isIndirect(si.cls)) {
                 if (!used_ittage)
                     bpu_.predictIndirect(pc, itt_meta);
-                bpu_.updateIndirect(pc, d.info, itt_meta);
+                bpu_.updateIndirect(pc, trace_.insts.info(tracePos_),
+                                    itt_meta);
             }
-            if (isBranch(si.cls) && !cfg_.bpu.perfectBtb) {
-                const Addr ins_target = actual_taken ? d.info : si.target;
-                bpu_.insertBranch(pc, si.cls, ins_target, actual_taken);
-            }
-            if (isBranch(si.cls)) {
-                prefetcher_.onBranch(pc, si.cls,
-                                     actual_taken ? d.info : si.target,
-                                     actual_taken);
-            }
+            // A taken branch's info is where the committed path went.
+            const Addr target = actual_taken ? actual_next : si.target;
+            if (isBranch(si.cls) && !cfg_.bpu.perfectBtb)
+                bpu_.insertBranch(pc, si.cls, target, actual_taken);
+            if (isBranch(si.cls))
+                prefetcher_.onBranch(pc, si.cls, target, actual_taken);
         }
 
         const Addr frontend_next =
@@ -434,13 +430,14 @@ FDIP_HOT_PATH void
 Frontend::recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
                            const StaticInst &si, std::uint8_t cause)
 {
-    const DynInst &d = trace_.insts[tracePos_];
-    const bool actual_taken = d.taken != 0;
+    const bool actual_taken = trace_.taken(tracePos_);
+    const Addr target =
+        actual_taken ? trace_.insts.info(tracePos_) : si.target;
 
     PendingDivergence p;
     p.token = nextToken_++;
     p.traceIdx = tracePos_;
-    p.correctNext = actual_taken ? d.info : pc + kInstBytes;
+    p.correctNext = actual_taken ? target : pc + kInstBytes;
     p.cause = cause;
 
     // Repair context: the owning block's snapshots plus the event
@@ -454,7 +451,7 @@ Frontend::recordDivergence(FtqEntry &entry, std::uint8_t offset, Addr pc,
 
     const HistoryPolicy pol = bpu_.history().policy();
     p.corrected.pc = pc;
-    p.corrected.target = actual_taken ? d.info : si.target;
+    p.corrected.target = target;
     p.corrected.offset = offset;
     p.corrected.kind = si.cls;
     p.corrected.taken = actual_taken;
@@ -686,11 +683,10 @@ Frontend::deliverFromHead(Cycle now)
             if (d.onCorrectPath) {
                 d.traceIdx =
                     h.traceIdx + (off - h.startOffset());
-                const DynInst &t = trace_.insts[d.traceIdx];
-                d.taken = t.taken != 0;
+                d.taken = trace_.taken(d.traceIdx);
                 if (si.cls == InstClass::kLoad ||
                     si.cls == InstClass::kStore) {
-                    d.memAddr = t.info;
+                    d.memAddr = trace_.memAddr(d.traceIdx);
                 }
                 if (pending_.has_value() && !pending_->delivered &&
                     pending_->traceIdx == d.traceIdx) {
@@ -835,10 +831,9 @@ Frontend::triggerPfc(FtqEntry &entry, std::uint8_t offset,
         entry.onCorrectPath && offset <= entry.divergeOffset;
     if (inst_correct) {
         const InstSeq j = entry.traceIdx + (offset - entry.startOffset());
-        const DynInst &d = trace_.insts[j];
-        const bool actual_taken = d.taken != 0;
+        const bool actual_taken = trace_.taken(j);
         const Addr actual_next =
-            actual_taken ? d.info : pc + kInstBytes;
+            actual_taken ? trace_.insts.info(j) : pc + kInstBytes;
         if (pending_.has_value() && !pending_->delivered)
             pending_.reset();
         if (actual_taken && actual_next == target) {
@@ -869,7 +864,7 @@ Frontend::triggerPfc(FtqEntry &entry, std::uint8_t offset,
             }
             const HistoryPolicy pol = bpu_.history().policy();
             p.corrected.pc = pc;
-            p.corrected.target = actual_taken ? d.info : si.target;
+            p.corrected.target = actual_taken ? actual_next : si.target;
             p.corrected.offset = offset;
             p.corrected.kind = si.cls;
             p.corrected.taken = actual_taken;

@@ -59,9 +59,6 @@ class Frontend
     /** Backend callback: a divergence-carrying instruction executed. */
     void onResolve(std::uint64_t token, std::uint64_t seq, Cycle now);
 
-    /** Next trace index the correct path will predict. */
-    InstSeq tracePos() const { return tracePos_; }
-
     const Ftq &ftq() const { return ftq_; }
     Cache &l1i() { return l1i_; }
 

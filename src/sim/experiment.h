@@ -125,10 +125,11 @@ std::uint64_t configDigest(const CoreConfig &cfg);
 /**
  * FNV-1a 64 digest of a suite entry's full simulation input: the
  * workload name, the program image (base address + every static
- * instruction), and the committed dynamic-instruction stream (raw
- * DynInst records; their 16-byte layout is static_asserted stable
- * with explicit zeroed padding). The seed and instruction count are
- * covered transitively: they determine this content.
+ * instruction), and the committed dynamic-instruction stream (each
+ * record's DynInst values as their v1 16-byte form, head word then
+ * info, whatever layout the trace keeps them in). The seed and
+ * instruction count are covered transitively: they determine this
+ * content.
  */
 std::uint64_t traceDigest(const SuiteEntry &entry);
 /// @}

@@ -102,26 +102,25 @@ writeChampSimTrace(const std::string &path, const Trace &trace)
         return false;
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        const DynInst &d = trace.insts[i];
-        const StaticInst &s = trace.staticOf(i);
         ChampSimRecord rec;
         rec.ip = trace.pcOf(i);
 
-        switch (s.cls) {
+        switch (trace.staticOf(i).cls) {
           case InstClass::kAlu:
             break;
           case InstClass::kLoad:
-            rec.sourceMemory[0] = d.info;
+            rec.sourceMemory[0] = trace.memAddr(i);
             rec.sourceRegisters[0] = 3;
             rec.destRegisters[0] = 3;
             break;
           case InstClass::kStore:
-            rec.destinationMemory[0] = d.info;
+            rec.destinationMemory[0] = trace.memAddr(i);
             rec.sourceRegisters[0] = 3;
             break;
           case InstClass::kCondDirect:
             rec.isBranch = 1;
-            rec.branchTaken = d.taken;
+            // The recorded byte: an imported trace may hold any value.
+            rec.branchTaken = trace.insts[i].taken;
             rec.sourceRegisters[0] = kChampSimRegFlags;
             rec.destRegisters[0] = kChampSimRegInstructionPointer;
             break;
@@ -170,14 +169,14 @@ writeChampSimTrace(const std::string &path, const Trace &trace)
 
 bool
 readChampSimTrace(const std::string &path, std::size_t max_insts,
-                  Trace &out)
+                  Trace &out, std::vector<DynInst> *appended)
 {
     FileHandle f(std::fopen(path.c_str(), "rb"));
     if (!f)
         return false;
 
     // ---- Pass 1: slurp the records. A torn last record means a
-    // truncated file: refused, as readTraceFile refuses one.
+    // truncated file, which is refused.
     std::vector<ChampSimRecord> recs;
     ChampSimRecord rec;
     while (max_insts == 0 || recs.size() < max_insts) {
@@ -298,9 +297,7 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
     // ---- Pass 4: emit the dynamic stream, patching any record whose
     // renormalized fall-through breaks adjacency (x86 paths our fixed-
     // width image cannot express) into an explicit taken transfer.
-    out = Trace{};
-    out.workload = workload;
-    out.insts.reserve(recs.size());
+    out = Trace(workload, recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i) {
         const ChampSimRecord &r = recs[i];
         const std::uint32_t idx = index_of[r.ip];
@@ -338,8 +335,11 @@ readChampSimTrace(const std::string &path, std::size_t max_insts,
             d.info = r.destinationMemory[0];
         }
 
-        out.insts.push_back(d);
+        out.insts.append(d);
+        if (appended != nullptr)
+            appended->push_back(d);
     }
+    out.insts.shrinkToFit();
     return true;
 }
 

@@ -92,11 +92,14 @@ bool writeChampSimTrace(const std::string &path, const Trace &trace);
  * @param path       raw (uncompressed) ChampSim trace file.
  * @param max_insts  record cap (0 = read everything).
  * @param out        receives the reconstructed trace.
+ * @param appended   when not null, receives a copy of every record as
+ *                   appended (a lockstep reference for tests).
  * @return false on I/O failure or malformed input, including a file
  *         that ends inside a record before the cap is reached.
  */
 bool readChampSimTrace(const std::string &path, std::size_t max_insts,
-                       Trace &out);
+                       Trace &out,
+                       std::vector<DynInst> *appended = nullptr);
 
 } // namespace fdip
 

@@ -87,11 +87,26 @@ class ProgramImage
         si.cls = s.cls;
         si.behavior = s.behavior;
         si.param = s.param;
-        // kNoAddr is all ones: OR-ing a mask keeps the read branch-free.
-        si.target = pcOf(s.target) | (Addr{0} - (s.target == kNoTarget));
-        if (s.target == kFarTarget) [[unlikely]]
-            si.target = farTarget(index);
+        si.target = targetOf(index);
         return si;
+    }
+
+    /** Class of instruction @p index, read without decoding the slot. */
+    FDIP_HOT_PATH InstClass
+    classOf(std::uint32_t index) const
+    {
+        return slots_[index].cls;
+    }
+
+    /** Direct target of instruction @p index (kNoAddr if it has none). */
+    FDIP_HOT_PATH Addr
+    targetOf(std::uint32_t index) const
+    {
+        const std::uint32_t t = slots_[index].target;
+        if (t == kFarTarget) [[unlikely]]
+            return farTarget(index);
+        // kNoAddr is all ones: OR-ing a mask keeps the read branch-free.
+        return pcOf(t) | (Addr{0} - (t == kNoTarget));
     }
 
     /**
@@ -146,7 +161,8 @@ class ProgramImage
 
     /** Slot::target of an instruction without a direct target. */
     static constexpr std::uint32_t kNoTarget = 0xffffffffu;
-    static_assert(kNoAddr == ~Addr{0}, "inst() builds kNoAddr as a mask");
+    static_assert(kNoAddr == ~Addr{0},
+                  "targetOf() builds kNoAddr as a mask");
     /** Slot::target of a far target, kept in far_. */
     static constexpr std::uint32_t kFarTarget = 0xfffffffeu;
 

@@ -11,14 +11,18 @@
 namespace fdip
 {
 
-Addr
-Trace::nextPcOf(std::size_t i) const
+Trace::Trace(std::shared_ptr<const Workload> wl, std::size_t capacity)
+    : workload(std::move(wl)), insts(workload->image, capacity)
 {
-    const DynInst &d = insts[i];
-    const StaticInst &s = image().inst(d.staticIndex);
-    if (isBranch(s.cls) && d.taken)
-        return d.info;
-    return image().pcOf(d.staticIndex) + kInstBytes;
+}
+
+Trace::Trace(std::shared_ptr<const Workload> wl,
+             const std::vector<DynInst> &records)
+    : Trace(std::move(wl), records.size())
+{
+    for (const DynInst &d : records)
+        insts.append(d);
+    insts.shrinkToFit();
 }
 
 namespace
@@ -52,23 +56,22 @@ class Executor
         pathRing_.fill(0);
     }
 
-    std::vector<DynInst>
-    run()
+    /** Appends numInsts dynamic instructions to @p out. Only a branch
+     *  decodes more of its slot than the class. */
+    void
+    run(TraceRecords &out, std::vector<DynInst> *appended)
     {
-        std::vector<DynInst> out;
-        out.reserve(numInsts_);
-
         std::uint32_t idx = image_.indexOf(wl_.entryPc);
         callStack_.reserve(64);
         funcStack_.push_back(idx);
 
-        while (out.size() < numInsts_) {
-            const StaticInst &si = image_.inst(idx);
+        for (std::size_t n = 0; n < numInsts_; ++n) {
+            const InstClass cls = image_.classOf(idx);
             DynInst d;
             d.staticIndex = idx;
 
             std::uint32_t next = idx + 1;
-            switch (si.cls) {
+            switch (cls) {
               case InstClass::kAlu:
                 break;
               case InstClass::kLoad:
@@ -76,6 +79,7 @@ class Executor
                 d.info = memAddress();
                 break;
               case InstClass::kCondDirect: {
+                const StaticInst si = image_.inst(idx);
                 const bool taken = decideDirection(idx, si);
                 d.taken = taken ? 1 : 0;
                 d.info = si.target;
@@ -84,17 +88,19 @@ class Executor
                     next = image_.indexOf(si.target);
                 break;
               }
-              case InstClass::kJumpDirect:
+              case InstClass::kJumpDirect: {
+                const Addr target = image_.targetOf(idx);
                 d.taken = 1;
-                d.info = si.target;
-                updateHistory(idx, si.target, true);
-                next = image_.indexOf(si.target);
+                d.info = target;
+                updateHistory(idx, target, true);
+                next = image_.indexOf(target);
                 break;
+              }
               case InstClass::kCallDirect:
               case InstClass::kCallIndirect: {
-                const Addr target = si.cls == InstClass::kCallDirect
-                                        ? si.target
-                                        : indirectTarget(idx, out.size());
+                const Addr target = cls == InstClass::kCallDirect
+                                        ? image_.targetOf(idx)
+                                        : indirectTarget(idx, n);
                 d.taken = 1;
                 d.info = target;
                 updateHistory(idx, target, true);
@@ -104,7 +110,7 @@ class Executor
                 break;
               }
               case InstClass::kJumpIndirect: {
-                const Addr target = indirectTarget(idx, out.size());
+                const Addr target = indirectTarget(idx, n);
                 d.taken = 1;
                 d.info = target;
                 updateHistory(idx, target, true);
@@ -125,10 +131,11 @@ class Executor
               }
             }
 
-            out.push_back(d);
+            out.append(d);
+            if (appended != nullptr)
+                appended->push_back(d);
             idx = next;
         }
-        return out;
     }
 
   private:
@@ -261,12 +268,11 @@ class Executor
 
 Trace
 generateTrace(std::shared_ptr<const Workload> workload,
-              std::size_t num_insts)
+              std::size_t num_insts, std::vector<DynInst> *appended)
 {
-    Trace t;
-    t.workload = std::move(workload);
-    Executor exec(*t.workload, num_insts);
-    t.insts = exec.run();
+    Trace t(std::move(workload), num_insts);
+    Executor(*t.workload, num_insts).run(t.insts, appended);
+    t.insts.shrinkToFit();
     return t;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "trace/inst.h"
+#include "trace/trace_records.h"
 #include "trace/workload.h"
 #include "util/hotpath.h"
 
@@ -24,11 +25,22 @@ namespace fdip
  */
 struct Trace
 {
-    /** The workload this trace was generated from. */
+    Trace() = default;
+
+    /** An empty trace over @p wl, with room for @p capacity records. */
+    explicit Trace(std::shared_ptr<const Workload> wl,
+                   std::size_t capacity = 0);
+
+    /** A trace of @p records over @p wl, built at its exact size. */
+    Trace(std::shared_ptr<const Workload> wl,
+          const std::vector<DynInst> &records);
+
+    /** The workload this trace was generated from. It holds the image
+     *  insts reads, so it is not replaced once records exist. */
     std::shared_ptr<const Workload> workload;
 
     /** The committed dynamic instruction stream. */
-    std::vector<DynInst> insts;
+    TraceRecords insts;
 
     /** Convenience accessors. */
     FDIP_HOT_PATH const ProgramImage &image() const { return workload->image; }
@@ -38,18 +50,25 @@ struct Trace
     FDIP_HOT_PATH Addr
     pcOf(std::size_t i) const
     {
-        return image().pcOf(insts[i].staticIndex);
+        return image().pcOf(insts.staticIndex(i));
     }
 
     /** Static instruction of dynamic instruction @p i. */
     FDIP_HOT_PATH StaticInst
     staticOf(std::size_t i) const
     {
-        return image().inst(insts[i].staticIndex);
+        return image().inst(insts.staticIndex(i));
     }
 
+    /** True if dynamic instruction @p i was taken. */
+    FDIP_HOT_PATH bool taken(std::size_t i) const { return insts.taken(i); }
+
     /** PC the committed path continues at after dynamic inst @p i. */
-    Addr nextPcOf(std::size_t i) const;
+    FDIP_HOT_PATH Addr nextPc(std::size_t i) const { return insts.nextPc(i); }
+
+    /** Effective address of dynamic instruction @p i, a load or store
+     *  (any record's info reads back exactly). */
+    FDIP_HOT_PATH Addr memAddr(std::size_t i) const { return insts.info(i); }
 };
 
 /**
@@ -59,10 +78,12 @@ struct Trace
  * seed). Branch outcomes follow each branch's BranchBehavior; indirect
  * targets and the dispatcher follow the recorded schedules; loads and
  * stores receive synthetic effective addresses with stack/global/stream
- * locality.
+ * locality. When @p appended is not null, it receives a copy of every
+ * record as appended (a lockstep reference for tests).
  */
 Trace generateTrace(std::shared_ptr<const Workload> workload,
-                    std::size_t num_insts);
+                    std::size_t num_insts,
+                    std::vector<DynInst> *appended = nullptr);
 
 } // namespace fdip
 

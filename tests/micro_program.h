@@ -116,14 +116,15 @@ class MicroProgram
      * Executes the program from its base for @p n instructions,
      * scripting conditional directions with @p cond_oracle and
      * indirect targets with @p target_oracle (may be null when the
-     * program has none).
+     * program has none). @p appended, when not null, receives a copy
+     * of every record as appended.
      */
     Trace
     run(std::size_t n, CondOracle cond_oracle = nullptr,
-        TargetOracle target_oracle = nullptr)
+        TargetOracle target_oracle = nullptr,
+        std::vector<DynInst> *appended = nullptr)
     {
-        Trace t;
-        t.workload = wl_;
+        Trace t(wl_, n);
         const ProgramImage &img = wl_->image;
         std::vector<std::uint64_t> visits(img.numInsts(), 0);
         std::vector<std::uint32_t> call_stack;
@@ -186,9 +187,12 @@ class MicroProgram
                 break;
               }
             }
-            t.insts.push_back(d);
+            t.insts.append(d);
+            if (appended != nullptr)
+                appended->push_back(d);
             idx = next;
         }
+        t.insts.shrinkToFit();
         return t;
     }
 

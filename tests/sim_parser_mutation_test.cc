@@ -1,13 +1,13 @@
 /**
  * @file
- * Deterministic byte-mutation test of the three parsers that read
- * untrusted bytes: the spool record parser (parseCampaignRecord), the
- * binary trace reader (readTraceFile) and the ChampSim importer
- * (readChampSimTrace). Every mutant must be accepted or rejected and
- * never crash; under the asan and ubsan presets a stray read or an
- * undefined operation fails the run as well. No fuzzer is needed:
- * the mutants are enumerated (records) or drawn from a fixed seed
- * (trace files), so every run checks the same inputs.
+ * Deterministic byte-mutation test of the two parsers that read
+ * untrusted bytes: the spool record parser (parseCampaignRecord) and
+ * the ChampSim importer (readChampSimTrace). Every mutant must be
+ * accepted or rejected and never crash; under the asan and ubsan
+ * presets a stray read or an undefined operation fails the run as
+ * well. No fuzzer is needed: the mutants are enumerated (records) or
+ * drawn from a fixed seed (trace files), so every run checks the same
+ * inputs.
  */
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 
 #include "sim/campaign_store.h"
 #include "trace/champsim.h"
-#include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/atomic_file.h"
 #include "util/rng.h"
@@ -207,33 +206,6 @@ TEST(ParserMutation, SpoolRecordKeepsItsCountersOrIsRejected)
     // a few percent; a parser accepting more has stopped being strict.
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, inputs / 10);
-}
-
-TEST(ParserMutation, BinaryTraceIsReadWholeOrRejected)
-{
-    const Trace trace = smallTrace();
-    const std::string dir = tempDir();
-    ASSERT_TRUE(writeTraceFile(dir + "/orig.fdiptrace", trace.insts));
-    const std::string original = slurp(dir + "/orig.fdiptrace");
-    const std::string path = dir + "/mutant.fdiptrace";
-
-    std::size_t accepted = 0;
-    // 16 header bytes: the magic and the instruction count.
-    forEachFileMutant(original, 16, [&](const std::string &m) {
-        writeRaw(path, m);
-        std::vector<DynInst> out;
-        const bool ok = readTraceFile(path, out);
-        // A truncated file still carries the full count: refused.
-        if (m.size() != original.size()) {
-            EXPECT_FALSE(ok) << "truncated to " << m.size() << " bytes";
-        }
-        if (!ok)
-            return;
-        ++accepted;
-        EXPECT_EQ(16 + out.size() * sizeof(DynInst), m.size())
-            << "an accepted file is read whole";
-    });
-    EXPECT_GT(accepted, 0u);
 }
 
 TEST(ParserMutation, ChampSimIsReadWholeOrRejected)

@@ -122,7 +122,7 @@ TEST(ChampSim, ImportedTraceIsControlFlowConsistent)
     Trace imported;
     ASSERT_TRUE(readChampSimTrace(path, 0, imported));
     for (std::size_t i = 0; i + 1 < imported.size(); ++i) {
-        ASSERT_EQ(imported.nextPcOf(i), imported.pcOf(i + 1))
+        ASSERT_EQ(imported.nextPc(i), imported.pcOf(i + 1))
             << "discontinuity after record " << i;
     }
     std::remove(path.c_str());

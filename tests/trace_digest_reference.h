@@ -2,7 +2,7 @@
  * @file
  * Obviously-correct reference model of the trace digest, kept as first
  * written: FNV-1a one byte at a time over every 64-bit field of every
- * static instruction, then over the raw bytes of the dynamic stream.
+ * static instruction, then over the raw bytes of each dynamic record.
  * The digest tests compare traceDigest with it on generated, imported
  * and hand-built traces.
  */
@@ -55,13 +55,13 @@ referenceTraceDigest(const SuiteEntry &entry)
         h = referenceFnv1aMix(si.target, h);
     }
 
-    // The dynamic stream hashes as raw bytes: DynInst's 16-byte layout
-    // is static_asserted stable and its padding is explicitly zeroed.
+    // Each record hashes as the raw bytes of the DynInst it reads back
+    // as: its 16-byte layout is static_asserted stable and its padding
+    // is explicitly zeroed.
     h = referenceFnv1aMix(entry.trace.insts.size(), h);
-    if (!entry.trace.insts.empty()) {
-        h = referenceFnv1a64Bytes(entry.trace.insts.data(),
-                                  entry.trace.insts.size() * sizeof(DynInst),
-                                  h);
+    for (std::size_t i = 0; i < entry.trace.insts.size(); ++i) {
+        const DynInst d = entry.trace.insts[i];
+        h = referenceFnv1a64Bytes(&d, sizeof(d), h);
     }
     return h;
 }

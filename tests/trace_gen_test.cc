@@ -43,12 +43,12 @@ TEST(TraceGen, DeterministicPerWorkload)
 
 TEST(TraceGen, ControlFlowIsConsistent)
 {
-    // nextPcOf(i) must equal pcOf(i+1) for every instruction: the
+    // nextPc(i) must equal pcOf(i+1) for every instruction: the
     // trace is a connected path through the image.
     auto wl = smallWorkload();
     const Trace t = generateTrace(wl, 50000);
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        ASSERT_EQ(t.nextPcOf(i), t.pcOf(i + 1))
+        ASSERT_EQ(t.nextPc(i), t.pcOf(i + 1))
             << "discontinuity after dyn inst " << i;
     }
 }
