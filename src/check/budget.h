@@ -253,7 +253,6 @@ class BudgetReport
         add(std::move(name), std::move(schema), limit_bits);
     }
 
-    [[nodiscard]] const std::string &title() const { return title_; }
     [[nodiscard]] const std::vector<BudgetItem> &items() const
     {
         return items_;

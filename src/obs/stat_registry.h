@@ -63,11 +63,6 @@ class StatHistogram
     [[nodiscard]] std::uint64_t max() const { return max_; }
     [[nodiscard]] double mean() const;
 
-    [[nodiscard]] unsigned numBuckets() const
-    {
-        return static_cast<unsigned>(buckets_.size());
-    }
-    [[nodiscard]] std::uint64_t bucketWidth() const { return bucketWidth_; }
     [[nodiscard]] std::uint64_t bucketCount(unsigned i) const
     {
         return buckets_[i];

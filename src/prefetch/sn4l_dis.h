@@ -57,9 +57,6 @@ class Sn4lDisPrefetcher final : public InstPrefetcher
     void onFillComplete(Addr line_addr, bool was_prefetch,
                         Cycle now) FDIP_HOT_NOEXCEPT override;
 
-    /** BTB installs performed by the BTB-prefetch component. */
-    std::uint64_t btbPrefetchInstalls() const { return btbInstalls_; }
-
     void
     registerStats(StatRegistry &reg,
                   const std::string &prefix) const override
@@ -90,6 +87,7 @@ class Sn4lDisPrefetcher final : public InstPrefetcher
 
     FDIP_STATE_MICRO Bpu *bpu_ = nullptr;
     FDIP_STATE_MICRO const ProgramImage *image_ = nullptr;
+    /** BTB installs by the BTB-prefetch component (a stat). */
     FDIP_STATE_MICRO std::uint64_t btbInstalls_ = 0;
 };
 

@@ -18,6 +18,7 @@
 #include "trace/suite.h"
 #include "trace/workload.h"
 #include "trace_digest_reference.h"
+#include "trace_lockstep.h"
 #include "util/rng.h"
 
 namespace fdip
@@ -51,8 +52,8 @@ TEST(TraceDigest, MatchesTheReferenceOnGeneratedTraces)
             targetless += si.param == 0 && si.target == kNoAddr;
         }
         std::size_t no_addr = 0;
-        for (const DynInst &d : e.trace.insts)
-            no_addr += d.info == kNoAddr;
+        e.trace.insts.forEach(
+            [&](const DynInst &d) { no_addr += d.info == kNoAddr; });
         EXPECT_GT(targetless, 0u) << e.name;
         EXPECT_LT(targetless, image.numInsts()) << e.name;
         EXPECT_GT(no_addr, 0u) << e.name;
@@ -155,6 +156,9 @@ TEST(TraceDigest, MatchesTheReferenceOnRecordsThatMissTheFastPaths)
 
     const SuiteEntry e{"hand-built", Trace{wl, insts}};
     EXPECT_EQ(traceDigest(e), referenceTraceDigest(e));
+    // The reference hashes what the store reads back, so the records
+    // must read back as they were built.
+    test::expectLockstep(e.trace, insts);
 
     // Empty name, empty stream, empty image.
     const SuiteEntry no_insts{"", Trace{wl, {}}};
